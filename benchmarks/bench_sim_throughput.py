@@ -2,9 +2,8 @@
 """Simulation-kernel throughput benchmark.
 
 Runs selected workloads under the simulation kernels (dense reference
-sweep, event-driven wakeup kernel, compiled step-closure kernel,
-steady-state trace kernel) and reports simulated cycles per
-wall-second plus the pairwise speedups.
+sweep, event-driven wakeup kernel, compiled step-closure kernel) and
+reports simulated cycles per wall-second plus the pairwise speedups.
 
 Methodology (what several rounds of container benchmarking taught):
 
@@ -23,14 +22,12 @@ Methodology (what several rounds of container benchmarking taught):
 Usage:
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py \
         [--workloads gemm,fft,saxpy,stencil] [--config allopts] \
-        [--kernels dense,event,compiled,trace] [--repeat 5] \
-        [--min-speedup 1.0] [--min-compiled-speedup 1.0] \
-        [--min-trace-speedup 1.0] [--json FILE]
+        [--kernels dense,event,compiled] [--repeat 5] \
+        [--min-speedup 1.0] [--min-compiled-speedup 1.0] [--json FILE]
 
 Exits non-zero if any workload's event/dense speedup falls below
-``--min-speedup``, or if the *geomean* compiled/event (trace/event)
-speedup falls below ``--min-compiled-speedup``
-(``--min-trace-speedup``) (geomean, not per-workload: single
+``--min-speedup``, or if the *geomean* compiled/event speedup falls
+below ``--min-compiled-speedup`` (geomean, not per-workload: single
 workloads swing several points with machine noise; the geomean is the
 stable signal CI can gate on).
 """
@@ -50,9 +47,9 @@ from repro.frontend.translate import translate_module
 from repro.opt.pass_manager import PassManager
 from repro.sim.engine import SimParams, simulate
 
-BENCH_SCHEMA = "repro.bench_sim_throughput/v3"
+BENCH_SCHEMA = "repro.bench_sim_throughput/v2"
 DEFAULT_WORKLOADS = "gemm,fft,saxpy,stencil"
-DEFAULT_KERNELS = "dense,event,compiled,trace"
+DEFAULT_KERNELS = "dense,event,compiled"
 DEFAULT_JSON = os.path.join(os.path.dirname(__file__), "results",
                             "BENCH_sim_throughput.json")
 
@@ -105,17 +102,13 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default="allopts",
                     choices=("baseline", "allopts"))
     ap.add_argument("--kernels", default=DEFAULT_KERNELS,
-                    help="comma-separated subset of "
-                         "dense,event,compiled,trace")
+                    help="comma-separated subset of dense,event,compiled")
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--min-speedup", type=float, default=0.0,
                     help="fail if any per-workload event/dense speedup "
                          "is below this")
     ap.add_argument("--min-compiled-speedup", type=float, default=0.0,
                     help="fail if the geomean compiled/event speedup "
-                         "is below this")
-    ap.add_argument("--min-trace-speedup", type=float, default=0.0,
-                    help="fail if the geomean trace/event speedup "
                          "is below this")
     ap.add_argument("--json", default=None, metavar="FILE",
                     help=f"write results as JSON (default when run "
@@ -125,7 +118,7 @@ def main(argv=None) -> int:
 
     kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
     for k in kernels:
-        if k not in ("dense", "event", "compiled", "trace"):
+        if k not in ("dense", "event", "compiled"):
             ap.error(f"unknown kernel {k!r}")
 
     rows = []
@@ -147,9 +140,6 @@ def main(argv=None) -> int:
         if "event" in walls and "compiled" in walls:
             row["compiled_over_event"] = round(
                 walls["event"] / walls["compiled"], 3)
-        if "event" in walls and "trace" in walls:
-            row["trace_over_event"] = round(
-                walls["event"] / walls["trace"], 3)
         rows.append(row)
         parts = [f"{name}/{args.config}: {cycles} cycles"]
         for k in kernels:
@@ -166,9 +156,6 @@ def main(argv=None) -> int:
         if "compiled_over_event" in row:
             parts.append(
                 f"compiled/event {row['compiled_over_event']:.2f}x")
-        if "trace_over_event" in row:
-            parts.append(
-                f"trace/event {row['trace_over_event']:.2f}x")
         print(" | ".join(parts))
 
     summary = {
@@ -176,8 +163,6 @@ def main(argv=None) -> int:
             r.get("event_over_dense") for r in rows), 3) or None,
         "compiled_over_event": round(geomean(
             r.get("compiled_over_event") for r in rows), 3) or None,
-        "trace_over_event": round(geomean(
-            r.get("trace_over_event") for r in rows), 3) or None,
     }
     shown = [f"geomean {k.replace('_over_', '/')} {v:.2f}x"
              for k, v in summary.items() if v]
@@ -188,11 +173,6 @@ def main(argv=None) -> int:
             and summary["compiled_over_event"] < gate:
         failed.append(f"geomean compiled/event "
                       f"{summary['compiled_over_event']:.2f}x < {gate}x")
-    tgate = args.min_trace_speedup
-    if tgate and summary["trace_over_event"] is not None \
-            and summary["trace_over_event"] < tgate:
-        failed.append(f"geomean trace/event "
-                      f"{summary['trace_over_event']:.2f}x < {tgate}x")
 
     json_path = DEFAULT_JSON if args.json == "default" else args.json
     if json_path:

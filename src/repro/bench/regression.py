@@ -13,9 +13,8 @@ Two checks, by strength:
   here is a semantic change, not noise.
 * **speedup geomeans** (thresholded) — absolute wall times do not
   transfer between machines, but the *relative* kernel speedups
-  (event/dense, compiled/event, trace/event) do.  The fresh geomean
-  must stay within ``threshold`` (default 20%) of the committed
-  geomean.
+  (event/dense, compiled/event) do.  The fresh geomean must stay
+  within ``threshold`` (default 20%) of the committed geomean.
 
 This is how the telemetry acceptance criterion is enforced: with
 telemetry disabled, instrumented hot paths must not drag the geomeans
@@ -48,7 +47,6 @@ DEFAULT_THRESHOLD = 0.2
 RATIOS = {
     "event_over_dense": ("dense", "event"),
     "compiled_over_event": ("event", "compiled"),
-    "trace_over_event": ("event", "trace"),
 }
 
 

@@ -476,9 +476,7 @@ def cmd_report(args) -> int:
             stats=pipe.sim.stats, synth=pipe.synth,
             pass_log=list(pipe.pass_log), variant=args.variant,
             circuit=pipe.circuit)
-    trace = pipe.sim.trace if pipe.sim is not None else None
-    report = build_report(result, top_n=args.top, batch=batch,
-                          trace=trace)
+    report = build_report(result, top_n=args.top, batch=batch)
     if args.json or args.md:
         dump_report(report, json_path=args.json, md_path=args.md)
         for path in (args.json, args.md):
@@ -1023,8 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="workload source variant")
     kernel_flags = argparse.ArgumentParser(add_help=False)
     kernel_flags.add_argument("--kernel", default="event",
-                              choices=("event", "dense", "compiled",
-                                       "trace"),
+                              choices=("event", "dense", "compiled"),
                               help="simulation kernel "
                                    "(default: event)")
     batch_flags = argparse.ArgumentParser(add_help=False)
@@ -1175,8 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", parents=[passes_flags, variant_flags, batch_flags,
                            kernel_flags],
         help="cross-layer bottleneck report for a workload "
-             "(add perf_counters to --passes for hardware counters; "
-             "--kernel trace adds the trace-tier subsection)")
+             "(add perf_counters to --passes for hardware counters)")
     p.add_argument("workload")
     p.add_argument("--top", type=int, default=10,
                    help="rows in the top-stalled-sources table")
@@ -1286,7 +1282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifacts-dir", default=None, metavar="DIR",
                    help="write replayable repro bundles for failures")
     p.add_argument("--compare-kernel", default=None,
-                   choices=("event", "dense", "compiled", "trace"),
+                   choices=("event", "dense", "compiled"),
                    help="also run every case on this kernel and "
                         "require bit-identical behavior including "
                         "cycle counts")

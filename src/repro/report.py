@@ -137,15 +137,11 @@ def _telemetry_layer() -> Optional[Dict]:
     }
 
 
-def build_report(run, top_n: int = 10, batch=None,
-                 trace: Optional[Dict] = None) -> Dict:
+def build_report(run, top_n: int = 10, batch=None) -> Dict:
     """Assemble the cross-layer report document for one RunResult.
 
     ``batch`` optionally attaches a :class:`repro.sim.BatchResult`
-    whose lanes this run represents (``repro report --batch N``);
-    ``trace`` attaches a trace-tier report (``SimResult.trace``,
-    produced under ``--kernel trace``) rendered as the "Trace tier"
-    subsection.
+    whose lanes this run represents (``repro report --batch N``).
     """
     stats: SimStats = run.stats
     circuit = run.circuit
@@ -175,8 +171,6 @@ def build_report(run, top_n: int = 10, batch=None,
     batch_layer = _batch_layer(stats, batch)
     if batch_layer is not None:
         sim_layer["batch"] = batch_layer
-    if trace is not None:
-        sim_layer["trace"] = trace
 
     opt_layer = {
         "passes": [
@@ -267,29 +261,6 @@ def render_markdown(report: Dict) -> str:
             out.append("")
             out.append(f"Deopt cause: `{b['deopt'].get('error')}` — "
                        f"{b['deopt'].get('message')}")
-        out.append("")
-
-    if sim.get("trace"):
-        t = sim["trace"]
-        out.append("## Trace tier")
-        out.append("")
-        out.append(
-            f"**{t['coverage']:.1%}** of simulated cycles ran outside "
-            f"the scheduler ({t['trace_cycles']} superblock cycles + "
-            f"{t['jumped_cycles']} jumped); {t['formed']} trace "
-            f"formation(s), {t['warm']} warm (re-armed from a proven "
-            f"artifact without re-detection).")
-        if t.get("deopts"):
-            out.append("")
-            out.append("Deopt reasons: " + ", ".join(
-                f"`{reason}` x{n}"
-                for reason, n in sorted(t["deopts"].items())) + ".")
-        if t.get("per_task"):
-            out.append("")
-            out.extend(_md_table(
-                ["task block", "formations", "steady cycles"],
-                [[f"`{name}`", d.get("formed", 0), d.get("cycles", 0)]
-                 for name, d in t["per_task"].items()]))
         out.append("")
 
     out.append("## Bound-by verdicts")

@@ -176,18 +176,6 @@ def run_payload(doc: Dict) -> Dict:
     out = response.to_json()
     out["meta"]["lru"] = lru
     out["meta"]["pid"] = os.getpid()
-    sim = pipe.sim
-    if sim is not None and sim.trace is not None:
-        # Host-local trace-tier tallies (meta, NOT the evaluation doc:
-        # ``warm`` depends on LRU state, so it is strategy-dependent
-        # by construction).  A warm front end carries its compiled
-        # artifact's proven firing sets, so repeat requests re-arm
-        # without re-detection — ``warm`` counts exactly that.
-        out["meta"]["trace"] = {
-            "formed": sim.trace["formed"],
-            "warm": sim.trace["warm"],
-            "coverage": sim.trace["coverage"],
-        }
     return out
 
 

@@ -1483,42 +1483,13 @@ class CompiledTask:
     costs more than the dispatch it saves.  Those instances keep the
     event kernel's reference ``process`` (bit-identical by
     definition); loop-carrying tasks, where instances sweep thousands
-    of times, get the compiled steps.
+    of times, get the compiled steps."""
 
-    ``traceable`` marks tasks eligible for the steady-state trace tier
-    (``kernel="trace"``, see :mod:`repro.sim.trace`): no
-    call/spawn/sync nodes means an instance never parks, never arms a
-    park-check timer and never waits on children — its only wake
-    sources are channel traffic, memory completions and its own
-    compute/loop timers, all of which the trace sweep subsumes.
-    ``trace_proven`` is a warm-start hint that lives with the artifact
-    in the fingerprint-keyed cache (and therefore in the serve
-    daemon's hot-circuit LRU): once any instance of this task has
-    formed a trace, later runs of the same artifact arm at the reduced
-    warm threshold instead of re-detecting steady state from
-    scratch.  ``steady_idxs`` is the recorded superblock itself — the
-    node indices observed firing during a trace's recording window.
-    It is a performance hint, not a correctness boundary (wakes aimed
-    outside the set stay live and are stepped exactly, in dense
-    order), so reusing it across instances and warm runs is always
-    sound; a stale set merely costs straggler heap traffic until the
-    divergence guard re-records."""
-
-    __slots__ = ("plan", "interpreted", "traceable", "trace_proven",
-                 "steady_idxs", "warm_after")
+    __slots__ = ("plan", "interpreted")
 
     def __init__(self, task):
         self.interpreted = not any(
             n.kind == "loopctl" for n in task.dataflow.nodes)
-        self.traceable = not any(
-            n.kind in ("call", "spawn", "sync")
-            for n in task.dataflow.nodes)
-        self.trace_proven = False
-        self.steady_idxs = None
-        #: Adaptive re-arm threshold (0 = the default warm streak).
-        #: Backed off exponentially by short trace episodes, reset by
-        #: long ones — tasks whose traces never pay stop re-arming.
-        self.warm_after = 0
         plan = []
         for node in task.dataflow.nodes:
             entry = _STEP_COMPILERS.get(node.kind)

@@ -20,15 +20,6 @@ same memory image, same outputs):
   specialized, ``SimParams.compile_fallback`` selects between a
   warning + event-kernel run (default) and raising
   :class:`repro.errors.KernelCompileError`.
-* ``kernel="trace"`` — the compiled kernel plus a runtime trace tier
-  (:mod:`repro.sim.trace`): instances that sustain a steady firing
-  streak switch to superblock stepping (full sweeps with no ready-heap
-  or wheel traffic), whole pipeline regions are ticked without the
-  scheduler's phase machinery, and provably quiescent spans are
-  jumped over arithmetically.  Guard failures deoptimize back to the
-  compiled path mid-run with no state reconstruction; fault plans
-  disable the tier entirely.  ``SimResult.trace`` reports formation /
-  deopt / coverage for the run.
 
 The event kernel also powers the observability layer
 (:mod:`repro.sim.observe`): stall attribution per node/cause and an
@@ -73,9 +64,8 @@ class SimParams:
     #: Queue depth used for decoupled (<||deep>) task edges.
     decoupled_queue_depth: int = 64
     validate: bool = True
-    #: "event" (wakeup-driven, default), "dense" (reference sweep),
-    #: "compiled" (event scheduler + specialized step closures) or
-    #: "trace" (compiled + steady-state superblock tier).
+    #: "event" (wakeup-driven, default), "dense" (reference sweep) or
+    #: "compiled" (event scheduler + specialized step closures).
     kernel: str = "event"
     #: kernel="compiled" only: when the circuit cannot be specialized,
     #: True (default) downgrades to a warning + event-kernel run;
@@ -113,10 +103,6 @@ class SimResult:
     #: the specialization failure that forced the event-kernel run
     #: (None = no fallback happened).
     compile_error: Optional[dict] = None
-    #: kernel="trace": formation / deopt / coverage report of the
-    #: trace tier (:func:`repro.sim.trace.trace_report`); None under
-    #: every other kernel.
-    trace: Optional[dict] = None
 
     def __repr__(self) -> str:
         return f"SimResult(cycles={self.cycles}, results={self.results})"
@@ -136,8 +122,7 @@ class Simulator:
         self.circuit = circuit
         self.memory_obj = memory
         self.params = params or SimParams()
-        if self.params.kernel not in ("event", "dense", "compiled",
-                                      "trace"):
+        if self.params.kernel not in ("event", "dense", "compiled"):
             raise SimulationError(
                 f"unknown simulation kernel {self.params.kernel!r}")
         if self.params.validate:
@@ -146,7 +131,7 @@ class Simulator:
     def run(self, args: Sequence = ()) -> SimResult:
         if self.params.kernel == "dense":
             return self._run_dense(args)
-        if self.params.kernel in ("compiled", "trace"):
+        if self.params.kernel == "compiled":
             from .compile import compiled_for
             try:
                 compiled = compiled_for(self.circuit)
@@ -212,7 +197,7 @@ class Simulator:
         """One lane-vectorized run over ``image`` — kernel selection
         mirrors :meth:`run` minus the dense kernel (the caller routes
         dense requests to sequential per-lane runs)."""
-        if self.params.kernel in ("compiled", "trace"):
+        if self.params.kernel == "compiled":
             from .compile import compiled_for
             try:
                 compiled = compiled_for(self.circuit)
@@ -236,7 +221,7 @@ class Simulator:
                    batch=None) -> SimResult:
         params = self.params
         stats = SimStats()
-        stats.kernel = params.kernel if compiled is not None else "event"
+        stats.kernel = "compiled" if compiled is not None else "event"
         sched = EventScheduler()
         observer = Observability(stats, params.observe,
                                  params.trace_capacity)
@@ -257,37 +242,13 @@ class Simulator:
         max_cycles = params.max_cycles
         watchdog = self._Watchdog(params)
         wheel = sched.wheel
-        trace_on = runtime.trace_enabled
-        if trace_on:
-            from .trace import steady_loop, trace_report
-
-            def _fail_deadlock(at: int) -> None:
-                raise self._attach(DeadlockError(
-                    at, self._deadlock_report(runtime),
-                    self._deadlock_diagnostics(runtime)), stats, at)
-
-            def _fail_timeout(at: int) -> None:
-                raise self._attach(
-                    SimulationTimeout(at, max_cycles), stats, at)
-        # The steady loop is only worth probing when a trace is live
-        # or the instance layer went idle last cycle (a quiescent-span
-        # jump may apply); ``probe`` tracks the latter.
-        probe = trace_on
         while not runtime.root_done:
-            if probe or (trace_on and runtime.trace_live):
-                now, idle_cycles = steady_loop(
-                    runtime, memsys, sched, stats, watchdog, now,
-                    idle_cycles, _fail_deadlock, _fail_timeout)
-                if runtime.root_done:
-                    break
             sched.now = now
             if faults is not None:
                 faults.now = now
             if wheel:
                 sched.dispatch(now)
             active = runtime.tick_event(now)
-            if trace_on:
-                probe = not active
             active |= memsys.tick_active(now)
             now += 1
             if runtime.root_done:
@@ -306,12 +267,8 @@ class Simulator:
                     SimulationTimeout(now, max_cycles), stats, now)
             watchdog.check(now, stats)
         stats.cycles = now
-        result = SimResult(now, runtime.root_results or [], stats,
-                           observer=observer)
-        if trace_on:
-            result.trace = trace_report(runtime, stats)
-            _count_trace(result.trace)
-        return result
+        return SimResult(now, runtime.root_results or [], stats,
+                         observer=observer)
 
     # -- dense kernel (reference) -----------------------------------------
     def _run_dense(self, args: Sequence) -> SimResult:
@@ -468,24 +425,6 @@ class BatchResult:
     @property
     def ok(self) -> bool:
         return all(e is None for e in self.errors)
-
-
-def _count_trace(rep: dict) -> None:
-    """Tally one trace-kernel run's tier behavior in the metrics
-    registry (counters surface in telemetry snapshots and the serve
-    daemon's stats endpoint)."""
-    if not telemetry.enabled():
-        return
-    met = telemetry.metrics()
-    if rep["formed"]:
-        met.counter("sim.trace.formed").inc(rep["formed"])
-    if rep["warm"]:
-        met.counter("sim.trace.warm").inc(rep["warm"])
-    covered = rep["trace_cycles"] + rep["jumped_cycles"]
-    if covered:
-        met.counter("sim.trace.cycles").inc(covered)
-    for cause, n in rep["deopts"].items():
-        met.counter("sim.trace.deopts").inc(n, cause=cause)
 
 
 def _count_batch(mode: str, lanes: int, deopt=None) -> None:

@@ -74,12 +74,6 @@ class TimingWheel:
         """Remove and return this cycle's wakeups (possibly empty)."""
         return self._slots.pop(cycle, ())
 
-    def next_cycle(self):
-        """Earliest cycle holding a wakeup, or None.  The slot dict is
-        small (a handful of distinct retire/issue/park-check cycles),
-        so a min over the keys beats maintaining an ordered index."""
-        return min(self._slots) if self._slots else None
-
     def __bool__(self) -> bool:
         return bool(self._slots)
 

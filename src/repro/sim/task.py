@@ -45,33 +45,6 @@ PARK_IDLE_THRESHOLD = 8
 #: Dense retries an enqueue-blocked park after this many cycles.
 PARK_RETRY_CYCLES = 16
 
-#: kernel="trace": consecutive active compiled sweeps before an
-#: instance is promoted to the trace tier (steady-state detection).
-TRACE_FORM_STREAK = 32
-#: Same, when the compiled artifact already proved the task reaches
-#: steady state (warm-start via the fingerprint-keyed compile cache
-#: and the serve daemon's hot-circuit LRU).
-TRACE_WARM_STREAK = 8
-#: Cycles a freshly formed trace spends recording which steps fire
-#: before switching to superblock sweeps over just that set.
-TRACE_RECORD_CYCLES = 8
-#: Consecutive superblock sweeps with out-of-set wake traffic before
-#: the set is declared stale (channel divergence): drop it and deopt
-#: so the next formation re-records.
-TRACE_STRAY_LIMIT = 16
-#: A trace episode shorter than this (cycles actually stepped while
-#: armed) did not pay for its arm/deopt bookkeeping; the task's
-#: re-arm threshold backs off exponentially (sticky on the compiled
-#: artifact) until an episode runs long again.
-TRACE_MIN_EPISODE = 16
-#: Idle superblock sweeps tolerated before the "quiet" deopt: a short
-#: pipeline bubble (a DRAM refill, an II>1 slot) costs a few no-op
-#: sweeps but keeps the trace armed, avoiding the deopt / re-warm /
-#: re-arm churn.  Exactness is unaffected — an idle sweep suppresses
-#: no rearm, so the quiet-exit reconstruction proof holds at every
-#: cycle of the grace window.
-TRACE_IDLE_GRACE = 4
-
 
 class TaskInvocation:
     """One dynamic activation of a task block."""
@@ -229,29 +202,14 @@ class DataflowInstance:
         self._check_at = -1               # pending park-check cycle
         self._sleep_attr = None           # stall causes of current sleep
 
-        # -- trace tier (kernel="trace") ----------------------------------
-        # The trace tier shares ALL of the wake state above — entering
-        # or leaving it is a pure dispatch swap on ``process``, which
-        # is what makes mid-run deoptimization trivially exact.
-        self._tracing = False
-        self._streak = 0                  # consecutive active sweeps
-        self._trace_cycles = 0            # cycles stepped while tracing
-        self._trace_after = 0             # arming threshold (0 = off)
-        self._ctask = None                # CompiledTask (for rebinding)
-        self._steady = None               # [(idx, step)] superblock
-        self._steady_idxs = ()            # recorded firing set
-        self._record_left = 0             # recording cycles remaining
-        self._fired = None                # recording scratch bytearray
-        self._tcarry = False              # real _carry while steady
-        self._strays = 0                  # consecutive stray-wake sweeps
-        self._tidle = 0                   # consecutive idle sweeps
-        self._tgrace = 0                  # idle sweeps tolerated
-
         # -- compiled kernel ----------------------------------------------
         # Bind the task's precompiled step closures to this instance's
         # channels/forks/latencies and shadow ``process`` with the
         # dispatch-free sweep.  Must run after everything above: the
         # binders capture node sims, channels, and instance callbacks.
+        # ``_ctask`` stays set so a pooled instance can rebind on
+        # recycle.
+        self._ctask = None
         compiled = runtime.compiled
         if compiled is not None:
             ctask = compiled.tasks[task.name]
@@ -267,10 +225,6 @@ class DataflowInstance:
                 self._plain_commit = runtime.faults is None
                 self.process = self.process_compiled
                 self._ctask = ctask
-                if runtime.trace_enabled and ctask.traceable:
-                    self._trace_after = (
-                        (ctask.warm_after or TRACE_WARM_STREAK)
-                        if ctask.trace_proven else TRACE_FORM_STREAK)
 
     # ``activity`` counts sets so the event sweep can tell whether one
     # particular node acted (token moved / state advanced) during its
@@ -389,25 +343,9 @@ class DataflowInstance:
         self._eqb_count = 0
         self._check_at = -1
         self._sleep_attr = None
-        self._streak = 0
-        self._trace_cycles = 0
-        self._steady = None
-        self._steady_idxs = ()
-        self._record_left = 0
-        self._fired = None
-        self._tcarry = False
-        self._strays = 0
-        self._tidle = 0
         ctask = self._ctask
         if ctask is not None:
             self._steps = ctask.bind(self)
-            self.process = self.process_compiled
-            if self._trace_after:
-                # The proof may have landed since construction: later
-                # invocations in the same run warm-start too.
-                self._trace_after = (
-                    (ctask.warm_after or TRACE_WARM_STREAK)
-                    if ctask.trace_proven else TRACE_FORM_STREAK)
 
     # -- protocol callbacks --------------------------------------------------
     def record_liveout(self, index: int, value) -> None:
@@ -648,7 +586,6 @@ class DataflowInstance:
         gap = now - self.last_processed - 1
         if gap > 0:
             self.idle_cycles += gap
-            self._streak = 0    # a sleep breaks the steady-state run
             obs = self.runtime.observer
             if obs is not None and obs.enabled and self._sleep_attr:
                 obs.charge(self._sleep_attr, gap,
@@ -742,448 +679,8 @@ class DataflowInstance:
         self.enqueue_blocked = bool(self._eqb_count)
         if self._act:
             self.idle_cycles = 0
-            t = self._trace_after
-            if t:
-                s = self._streak + 1
-                if s >= t:
-                    self._enter_trace()
-                else:
-                    self._streak = s
         else:
             self.idle_cycles += 1
-            self._streak = 0
-
-    # -- execution (trace tier) --------------------------------------------
-    def _enter_trace(self) -> None:
-        """Promote to the trace tier: steady-state firing detected.
-
-        The instance keeps every piece of live wake state (heap,
-        defers, timers, dirty list) — only the ``process`` dispatch
-        changes — so any guard failure deoptimizes with zero state
-        reconstruction.  Marks the compiled artifact ``trace_proven``
-        so warm runs (compile cache / serve LRU) re-arm faster.
-        """
-        self._tracing = True
-        self._streak = 0
-        rt = self.runtime
-        ts = rt.trace_stats
-        ts["formed"] += 1
-        ctask = self._ctask
-        if ctask.trace_proven:
-            ts["warm"] += 1
-        else:
-            ctask.trace_proven = True
-        per = ts["per_task"].setdefault(
-            self.task.name, {"formed": 0, "cycles": 0})
-        per["formed"] += 1
-        rt.trace_live += 1
-        obs = rt.observer
-        if obs is not None and obs.tracing:
-            obs.emit("trace_form", self.task.name, self.sched.now)
-        idxs = ctask.steady_idxs
-        if idxs is not None:
-            # Warm start: the artifact already carries a recorded
-            # firing set — arm the superblock immediately.
-            self._arm_steady(idxs)
-            self.process = self.process_trace
-        else:
-            self._fired = bytearray(len(self._steps))
-            self._record_left = TRACE_RECORD_CYCLES
-            self.process = self.process_record
-
-    def _exit_trace(self, reason: str) -> None:
-        """Deoptimize back to the compiled sweep.
-
-        Wake state is live throughout the tier, so the only
-        reconstruction is dropping the superblock premarks: the dedup
-        bitmaps must mirror the live lists again, and since the heap
-        and defer list can only ever hold out-of-set entries while
-        steady, zeroing the set restores the strict invariant.
-        ``_carry`` gets its real value back (the forced keepalive was
-        only there to make ``needs_tick`` unconditionally true)."""
-        self._tracing = False
-        self._streak = 0
-        self.process = self.process_compiled
-        if self._steady is not None:
-            in_ready = self._in_ready
-            in_defer = self._in_defer
-            for idx in self._steady_idxs:
-                in_ready[idx] = 0
-                in_defer[idx] = 0
-            self._steady = None
-            self._steady_idxs = ()
-            self._carry = self._tcarry
-        self._fired = None
-        self._record_left = 0
-        self._strays = 0
-        self._tidle = 0
-        # Steady state was reached once; later invocations re-arm at
-        # the warm threshold — backed off exponentially (sticky on the
-        # artifact, so sibling instances and warm runs inherit it)
-        # while episodes stay too short to pay for the arm/deopt
-        # bookkeeping.
-        ctask = self._ctask
-        if self._trace_cycles < TRACE_MIN_EPISODE:
-            ctask.warm_after = min(
-                (ctask.warm_after or TRACE_WARM_STREAK) * 2, 256)
-        else:
-            ctask.warm_after = 0
-        self._trace_after = ctask.warm_after or TRACE_WARM_STREAK
-        rt = self.runtime
-        ts = rt.trace_stats
-        ts["deopts"][reason] = ts["deopts"].get(reason, 0) + 1
-        ts["cycles"] += self._trace_cycles
-        per = ts["per_task"].setdefault(
-            self.task.name, {"formed": 0, "cycles": 0})
-        per["cycles"] += self._trace_cycles
-        self._trace_cycles = 0
-        rt.trace_live -= 1
-        obs = rt.observer
-        if obs is not None and obs.tracing:
-            obs.emit("trace_deopt", f"{self.task.name}:{reason}",
-                     self.sched.now if self.sched is not None else 0)
-
-    def _arm_steady(self, idxs) -> None:
-        """Premark the recorded firing set and build the superblock.
-
-        With ``_in_ready[i] = _in_defer[i] = 1`` held for every set
-        member, all wake traffic aimed at the set degenerates to a
-        single bytearray test — no heap pushes, no defer appends —
-        while wakes aimed *outside* the set stay fully live (that is
-        the correctness boundary: the set is only a hint).  Any set
-        member currently in the heap or defer list is dropped first
-        (the superblock sweeps it every cycle, a strict superset), so
-        the lists hold out-of-set entries only and the premarks can
-        never be clobbered by a pop.  ``_carry`` is forced True as the
-        keepalive that makes ``needs_tick`` unconditionally true; the
-        real value lives in ``_tcarry`` until deopt.
-        """
-        steps = self._steps
-        self._steady_idxs = idxs
-        self._steady = [(i, steps[i]) for i in idxs]
-        in_ready = self._in_ready
-        in_defer = self._in_defer
-        ready = self._ready
-        defer = self._defer
-        if ready or defer:
-            in_set = set(idxs)
-            if ready:
-                keep = [j for j in ready if j not in in_set]
-                for j in ready:
-                    in_ready[j] = 0
-                ready.clear()
-                for j in keep:
-                    in_ready[j] = 1
-                ready.extend(keep)
-                heapq.heapify(ready)
-            if defer:
-                keep = [j for j in defer if j not in in_set]
-                for j in defer:
-                    in_defer[j] = 0
-                defer.clear()
-                for j in keep:
-                    in_defer[j] = 1
-                defer.extend(keep)
-        for i in idxs:
-            in_ready[i] = 1
-            in_defer[i] = 1
-        self._tcarry = self._carry
-        self._carry = True
-        self._strays = 0
-        self._tidle = 0
-        # Bubble-riding is a pure-perf mode: a graced idle cycle keeps
-        # the instance awake, so the observer would never see the
-        # sleep episode it attributes stall causes to.  With
-        # attribution on, deopt on the first idle sweep instead
-        # (grace 0) — that path is bit-identical to the event kernel's
-        # charge accounting.
-        obs = self.runtime.observer
-        self._tgrace = TRACE_IDLE_GRACE \
-            if obs is None or not obs.enabled else 0
-
-    def process_record(self, now: int) -> None:
-        """Trace recording: compiled-identical cycles that observe the
-        firing set.
-
-        The sweep is byte-for-byte :meth:`process_compiled` (same heap
-        pops, same density escape, same commit) — the only addition is
-        a side bytearray marking every index that wakes or acts.
-        After ``TRACE_RECORD_CYCLES`` active cycles the union becomes
-        the superblock set and the instance switches to
-        :meth:`process_trace`.
-        """
-        fired = self._fired
-        if self._defer or self._full_next:
-            self._promote()
-        gap = now - self.last_processed - 1
-        if gap > 0:
-            self.idle_cycles += gap
-            obs = self.runtime.observer
-            if obs is not None and obs.enabled and self._sleep_attr:
-                obs.charge(self._sleep_attr, gap,
-                           self.last_processed + 1)
-        self._sleep_attr = None
-        self.last_processed = now
-        self.checked_cycle = now
-        self._act = 0
-        self.force_check = False
-        steps = self._steps
-        self._sweeping = True
-        defer = self._defer
-        in_defer = self._in_defer
-        self._defer_from = now
-        if self.full_wake or 2 * len(self._ready) >= len(steps):
-            self.full_wake = False
-            self._in_full = True
-            for idx in self._ready:
-                self._in_ready[idx] = 0
-                fired[idx] += 1
-            self._ready.clear()
-            a = 0
-            for i, step in enumerate(steps):
-                step(now)
-                na = self._act
-                if na != a:
-                    a = na
-                    fired[i] += 1
-            self._in_full = False
-        else:
-            heappop = heapq.heappop
-            heap = self._ready
-            in_ready = self._in_ready
-            while heap:
-                idx = heappop(heap)
-                in_ready[idx] = 0
-                fired[idx] += 1
-                steps[idx](now)
-        self._sweeping = False
-        self._cursor = -1
-        if self._dirty:
-            dirty = self._dirty
-            self._dirty = []
-            carry = False
-            defer = self._defer
-            act = self._act
-            for ch in dirty:
-                queue = ch.queue
-                depth = len(queue)
-                pre = ch.pre
-                staged = ch.staged
-                if pre:
-                    queue.extend(pre)
-                    pre.clear()
-                    act += 1
-                    if staged:
-                        if ch.stages >= 2:
-                            pre.extend(staged)
-                        else:
-                            queue.extend(staged)
-                        staged.clear()
-                elif staged:
-                    if ch.stages >= 2:
-                        pre.extend(staged)
-                    else:
-                        queue.extend(staged)
-                    staged.clear()
-                    act += 1
-                if len(queue) > depth:
-                    idx = ch.consumer_idx
-                    if not in_defer[idx]:
-                        in_defer[idx] = 1
-                        defer.append(idx)
-                if pre:
-                    self._dirty.append(ch)
-                    carry = True
-                else:
-                    ch.dirty = False
-            self._act = act
-            self._carry = carry
-        else:
-            self._carry = False
-        self.enqueue_blocked = bool(self._eqb_count)
-        if self._act:
-            self.idle_cycles = 0
-            self._trace_cycles += 1
-            self._record_left -= 1
-            if not self._record_left:
-                # Keep only nodes woken at least half the window: the
-                # union's one-shot transients (pipeline fill, drain)
-                # would otherwise be swept as no-ops every steady
-                # cycle.  Pruned nodes stay exact — their wakes flow
-                # through the live heap as stragglers.
-                idxs = tuple(i for i in range(len(steps))
-                             if 2 * fired[i] >= TRACE_RECORD_CYCLES)
-                self._fired = None
-                if idxs:
-                    self._ctask.steady_idxs = idxs
-                    self._arm_steady(idxs)
-                    self.process = self.process_trace
-                else:
-                    # No node fires steadily: the pattern is irregular,
-                    # not a superblock candidate right now.
-                    self._exit_trace("divergence")
-        else:
-            self.idle_cycles += 1
-            self._exit_trace("quiet")
-
-    def process_trace(self, now: int) -> None:
-        """Superblock sweep: step the recorded steady set, scheduler-free.
-
-        Per cycle this runs the recorded steps in dense order with no
-        ready-heap pushes, no defer appends and no density test — the
-        premarks from :meth:`_arm_steady` turn all in-set wake traffic
-        into bytearray no-ops.  Out-of-set wakes (an irregular node
-        joining in, a channel feeding a consumer the recording never
-        saw) stay fully live: they land in the real heap/defer list
-        and are stepped *exactly*, interleaved in ascending index
-        order so same-cycle visibility matches the compiled sweep's
-        heap order.  Persistent stray traffic marks the set stale
-        (``TRACE_STRAY_LIMIT``) — the guard taxonomy's "channel
-        divergence" — which drops the recorded set and deopts so the
-        next formation re-records.
-
-        The deopt state-reconstruction invariant: wake state is live
-        the whole time, so at every cycle boundary it equals what
-        ``process_compiled`` would have left, premarks aside (removed
-        by :meth:`_exit_trace`).  A sweep with no activity deopts
-        "quiet" — and because nothing acted, no rearm was suppressed,
-        making that exit exact with no catch-up sweep.  Completion
-        deopts via ``SimRuntime.deliver``; fault plans never enable
-        the tier at all.
-        """
-        defer = self._defer
-        if defer and self._defer_from < now:
-            # Out-of-set wakes only (in-set appends were suppressed):
-            # a real heap push keeps the straggler interleave ordered.
-            in_defer = self._in_defer
-            ready = self._ready
-            in_ready = self._in_ready
-            heappush = heapq.heappush
-            for idx in defer:
-                in_defer[idx] = 0
-                if not in_ready[idx]:
-                    in_ready[idx] = 1
-                    heappush(ready, idx)
-            defer.clear()
-        if self._full_next and self._full_from < now:
-            self._full_next = False
-            self.full_wake = True
-        self.last_processed = now
-        self.checked_cycle = now
-        self._act = 0
-        self.force_check = False
-        steps = self._steps
-        self._sweeping = True
-        self._defer_from = now
-        heap = self._ready
-        nstray = 0
-        if self.full_wake:
-            # Loop finished / full re-sweep requested: one superset
-            # sweep over every node (drain tokens, final pushes).
-            self.full_wake = False
-            self._in_full = True
-            if heap:
-                in_ready = self._in_ready
-                for idx in heap:
-                    in_ready[idx] = 0
-                heap.clear()
-            for step in steps:
-                step(now)
-            self._in_full = False
-        else:
-            in_ready = self._in_ready
-            heappop = heapq.heappop
-            for idx, step in self._steady:
-                if heap and heap[0] < idx:
-                    while heap and heap[0] < idx:
-                        j = heappop(heap)
-                        in_ready[j] = 0
-                        steps[j](now)
-                        nstray += 1
-                step(now)
-            while heap:
-                j = heappop(heap)
-                in_ready[j] = 0
-                steps[j](now)
-                nstray += 1
-        self._sweeping = False
-        self._cursor = -1
-        if self._dirty:
-            dirty = self._dirty
-            self._dirty = []
-            carry = False
-            in_defer = self._in_defer
-            act = self._act
-            for ch in dirty:
-                queue = ch.queue
-                depth = len(queue)
-                pre = ch.pre
-                staged = ch.staged
-                if pre:
-                    queue.extend(pre)
-                    pre.clear()
-                    act += 1
-                    if staged:
-                        if ch.stages >= 2:
-                            pre.extend(staged)
-                        else:
-                            queue.extend(staged)
-                        staged.clear()
-                elif staged:
-                    if ch.stages >= 2:
-                        pre.extend(staged)
-                    else:
-                        queue.extend(staged)
-                    staged.clear()
-                    act += 1
-                if len(queue) > depth:
-                    idx = ch.consumer_idx
-                    if not in_defer[idx]:
-                        in_defer[idx] = 1
-                        defer.append(idx)
-                if pre:
-                    self._dirty.append(ch)
-                    carry = True
-                else:
-                    ch.dirty = False
-            self._act = act
-            self._tcarry = carry
-        else:
-            self._tcarry = False
-        self._carry = True          # keepalive: sweep again next cycle
-        self.enqueue_blocked = bool(self._eqb_count)
-        if self._act:
-            self.idle_cycles = 0
-            self._trace_cycles += 1
-            self._tidle = 0
-            if 4 * nstray > len(self._steady):
-                # Heavy stray traffic: most wakes land outside the
-                # recorded set.  Light straggling (a sub-rate node the
-                # pruning left out) is fine — the heap handles it
-                # exactly at compiled-kernel cost.
-                s = self._strays + 1
-                if s >= TRACE_STRAY_LIMIT:
-                    # Stale set: drop it so the next formation
-                    # re-records, and force a full catch-up sweep for
-                    # the in-set rearms the premarks suppressed.
-                    self._ctask.steady_idxs = None
-                    self._exit_trace("divergence")
-                    self.full_wake = True
-                else:
-                    self._strays = s
-            elif self._strays:
-                self._strays = 0
-        else:
-            # Nothing acted.  Ride out a short bubble (no rearm was
-            # suppressed, so every grace cycle remains a valid exact
-            # exit point); past the grace window, deopt — dropping the
-            # premarks restores the exact compiled wake state.
-            self.idle_cycles += 1
-            g = self._tidle + 1
-            if g > self._tgrace:
-                self._exit_trace("quiet")
-            else:
-                self._tidle = g
 
     def maybe_sleep(self, now: int) -> None:
         """Bookkeeping before the instance goes quiet.
@@ -1278,7 +775,7 @@ class TaskBlockSim:
         #: Cycle whose instance sweep has started (visibility marker
         #: for the event kernel's wake routing).
         self.sweep_cycle = -1
-        #: Instance free list (compiled/trace kernels): completed
+        #: Instance free list (compiled kernel): completed
         #: instances are recycled instead of reconstructed — instance
         #: construction dominates spawn-heavy workloads.  None keeps
         #: the event/dense reference kernels byte-identical.
@@ -1462,78 +959,6 @@ class TaskBlockSim:
                     obs.emit("park", inst.task.name, now)
         return active_cycle
 
-    # -- trace tier (superblock stepping) ----------------------------------
-    def tick_steady(self, now: int):
-        """Steady-state block tick: the instance phase of
-        :meth:`tick_event` alone.  The superblock's entry guard proved
-        the unpark / start / retry phases are no-ops for this block
-        (no startable invocation, no actionable park), so the phase
-        checks and list rebuilds are skipped wholesale.
-
-        Returns ``(active_cycle, clean)``.  ``clean`` is False when
-        the cycle did anything phase-relevant — an invocation became
-        startable mid-cycle, an instance finished or parked — in which
-        case this block already handled it *exactly* (by delegating to
-        the full tick) and the caller must run the remaining blocks
-        through :meth:`tick_event` too, then leave superblock mode
-        (same-cycle unpark/start ordering across blocks depends on the
-        full phase structure).
-        """
-        if self.ready and len(self.active) < self.capacity:
-            # An earlier block enqueued a startable invocation here
-            # this cycle: the start phase must run *this* cycle,
-            # exactly as tick_event would.
-            return self.tick_event(now), False
-        if not self.active:
-            if self.parked:
-                self.sweep_cycle = now
-            return False, True
-        self.sweep_cycle = now
-        active_cycle = False
-        finished = None
-        parked = None
-        for inst in self.active:
-            if inst._defer or inst._full_next:
-                inst._promote()
-            if not (inst._ready or inst.full_wake or inst.force_check
-                    or inst._carry):
-                continue            # asleep: provably activity-free
-            inst.process(now)
-            if inst._act:
-                active_cycle = True
-            if inst.is_complete():
-                if finished is None:
-                    finished = []
-                finished.append(inst)
-            elif inst.parkable():
-                if parked is None:
-                    parked = []
-                parked.append(inst)
-            else:
-                inst.maybe_sleep(now)
-        if finished is None and parked is None:
-            return active_cycle, True
-        if finished:
-            for inst in finished:
-                self.active.remove(inst)
-                self.runtime.deliver(inst)
-                active_cycle = True
-                pool = self.pool
-                if pool is not None and len(pool) < self.capacity and \
-                        inst._wheel_refs == 0 and inst._eq_regs == 0:
-                    pool.append(inst)
-        if parked:
-            for inst in parked:
-                if inst in self.active:
-                    self.active.remove(inst)
-                    inst.park_cycle = now
-                    self.parked.append(inst)
-                    self.runtime.stats.parked += 1
-                    obs = self.runtime.observer
-                    if obs is not None and obs.tracing:
-                        obs.emit("park", inst.task.name, now)
-        return active_cycle, False
-
     def busy(self) -> bool:
         return bool(self.ready or self.active or self.parked)
 
@@ -1565,22 +990,11 @@ class SimRuntime:
         #: path needs it to stamp fault-injected start delays).
         self.now = 0
         self._enq_seq = 0
-        #: Trace tier (kernel="trace"): enabled only for fault-free
-        #: scalar compiled runs — an active FaultPlan forces the
-        #: compiled path (the ISSUE's "deopt under any fault plan"
-        #: policy), and batched lanes keep their own machinery.
-        self.trace_enabled = (
-            getattr(params, "kernel", "event") == "trace"
-            and compiled is not None and sched is not None
-            and faults is None and batch is None)
-        #: Instance pooling shares the same safety preconditions but
-        #: also serves the plain compiled kernel.
+        #: Instance pooling (DESIGN.md section 8): fault-free scalar
+        #: compiled runs only.  The event/dense reference kernels
+        #: always construct fresh instances.
         self.pooling = (compiled is not None and sched is not None
                         and faults is None and batch is None)
-        self.trace_live = 0          # instances currently in trace mode
-        self.trace_jumped = 0        # cycles skipped by the time jump
-        self.trace_stats = {"formed": 0, "warm": 0, "cycles": 0,
-                            "deopts": {}, "per_task": {}}
         self.blocks: Dict[str, TaskBlockSim] = {
             name: TaskBlockSim(task, self)
             for name, task in circuit.tasks.items()}
@@ -1646,8 +1060,6 @@ class SimRuntime:
             TaskInvocation(args, None, None, self.ROOT_EDGE))
 
     def deliver(self, instance: DataflowInstance) -> None:
-        if instance._tracing:
-            instance._exit_trace("complete")
         inv = instance.invocation
         if inv.reply is not None:
             inv.reply.results = instance.results()

@@ -101,6 +101,20 @@ class TestRequestValidation:
             EvaluationRequest.from_json(doc)
 
 
+class TestRemovedKernel:
+    def test_trace_kernel_is_a_deterministic_error(self):
+        # An old client or sweep journal naming the removed "trace"
+        # kernel gets an error document that is never retried.
+        resp = execute(EvaluationRequest(workload="saxpy",
+                                         sim={"kernel": "trace"}))
+        assert not resp.ok
+        assert resp.error["error"] == "SimulationError"
+        assert resp.error["message"] == \
+            "unknown simulation kernel 'trace'"
+        assert resp.error["exit_code"] == 6
+        assert resp.error["family"] == "deterministic"
+
+
 class TestIdentityKeys:
     def test_canonical_key_is_content_identity(self):
         a = EvaluationRequest(source=SRC, args=(16, 2.0))

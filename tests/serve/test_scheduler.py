@@ -16,6 +16,7 @@ mirroring the DSE supervision tests.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -243,34 +244,60 @@ class TestRetryClassification:
 class TestSupervisorTimeout:
     def test_hung_request_times_out_then_succeeds(self, monkeypatch):
         calls = {"n": 0}
+        release = threading.Event()
+        returned = threading.Event()
         real = worker_mod.run_payload
 
         def hang_once(doc):
             calls["n"] += 1
-            if calls["n"] == 1:
-                import time
-                time.sleep(1.5)
-            return real(doc)
+            if calls["n"] > 1:
+                return real(doc)
+            # The hung call never runs the real payload: the scheduler
+            # abandons its future, and a payload finishing later would
+            # run inside the test process under whatever environment
+            # (e.g. a chaos hook) a later test has set.
+            try:
+                release.wait(60)
+                return {"schema": EVAL_SCHEMA, "status": "error",
+                        "evaluation": None, "lanes": None,
+                        "error": {"error": "Abandoned",
+                                  "family": "deterministic"},
+                        "meta": {}}
+            finally:
+                returned.set()
 
         monkeypatch.setattr(worker_mod, "run_payload", hang_once)
 
         # Two pool threads: the abandoned hung future keeps one busy,
-        # the retry must land on the other.
+        # the retry must land on the other.  The hang lasts until
+        # released, so the deadline can leave the retried evaluation
+        # (~0.4 s for fib) a wide margin on a loaded host.
         async def go():
             sched = Scheduler(workers=2, executor="thread",
-                              retry=FAST_RETRY, job_timeout=0.5)
+                              retry=FAST_RETRY, job_timeout=3.0)
             await sched.start()
             job = await sched.submit(EvaluationRequest(workload="fib"))
             await _finish(sched, [job])
             assert sched.counters["timeouts"] >= 1
             assert sched.counters["retries"] >= 1
-            assert job.response_doc["status"] == "ok"
+            assert job.response_doc["status"] == "ok", \
+                job.response_doc.get("error")
 
-        run(go())
+        try:
+            run(go())
+        finally:
+            release.set()
+        assert returned.wait(10), "the abandoned call never returned"
 
 
 class TestWorkerDeath:
     """SIGKILL chaos against a real process pool (slow: pool spawn)."""
+
+    #: The chaos hook matches a substring of ``describe()``.  Only this
+    #: class sends a request that describes as "fib passes=op_fusion",
+    #: so the hook can never fire on another test's call.
+    KILLABLE = EvaluationRequest(workload="fib", passes="op_fusion")
+    SUBSTR = KILLABLE.describe()
 
     def _chaos(self, monkeypatch, **kill):
         monkeypatch.setenv("REPRO_SERVE_CHAOS",
@@ -278,14 +305,14 @@ class TestWorkerDeath:
 
     def test_death_respawns_pool_and_retries(self, tmp_path,
                                              monkeypatch):
-        self._chaos(monkeypatch, substr="fib",
+        self._chaos(monkeypatch, substr=self.SUBSTR,
                     flag=str(tmp_path / "spent"))
 
         async def go():
             sched = Scheduler(workers=1, executor="process",
                               retry=FAST_RETRY)
             await sched.start()
-            job = await sched.submit(EvaluationRequest(workload="fib"))
+            job = await sched.submit(self.KILLABLE)
             await _finish(sched, [job])
             assert sched.counters["worker_deaths"] == 1
             assert sched.counters["retries"] >= 1
@@ -295,14 +322,14 @@ class TestWorkerDeath:
         run(go())
 
     def test_repeat_killer_is_quarantined(self, monkeypatch):
-        self._chaos(monkeypatch, substr="fib")  # no flag: kills every time
+        # no flag: kills every time
+        self._chaos(monkeypatch, substr=self.SUBSTR)
 
         async def go():
             sched = Scheduler(workers=1, executor="process",
                               retry=FAST_RETRY)
             await sched.start()
-            poison = await sched.submit(
-                EvaluationRequest(workload="fib"))
+            poison = await sched.submit(self.KILLABLE)
             innocent = await sched.submit(
                 EvaluationRequest(workload="covar"))
             await _finish(sched, [poison, innocent])

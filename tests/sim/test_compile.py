@@ -110,105 +110,6 @@ class TestFallbackPolicy:
         assert result.stats.kernel == "compiled"
 
 
-class TestTraceTier:
-    """Trace recording, guard taxonomy, and the artifact round-trip.
-
-    Bit identity of the trace kernel is pinned by the equivalence
-    matrix; this class covers the tier's machinery: recorded firing
-    sets landing on (and re-arming from) the fingerprint-keyed
-    artifact, the deopt taxonomy, and the forced fault-plan disable.
-    """
-
-    def _run(self, w, circuit, kernel="trace", **kw):
-        mem = w.fresh_memory()
-        return simulate(circuit, mem, list(w.args_for()),
-                        SimParams(kernel=kernel, **kw))
-
-    def test_recording_lands_on_the_artifact(self):
-        # gemm's inner loop sustains a steady state for hundreds of
-        # cycles, so a trace must form, and the recorded firing set
-        # must be cached on the compiled artifact for warm re-arming.
-        w, circuit = _build("gemm", "allopts")
-        result = self._run(w, circuit)
-        assert result.trace is not None
-        assert result.trace["formed"] > 0
-        assert 0.0 <= result.trace["coverage"] <= 1.0
-        art = simcompile.compiled_for(circuit)
-        proven = [t for t in art.tasks.values() if t.trace_proven]
-        assert proven, "no task marked trace_proven after formation"
-        recorded = [t for t in proven if t.steady_idxs is not None]
-        assert recorded, "no recorded firing set on the artifact"
-        for task in recorded:
-            assert all(isinstance(i, int) for i in task.steady_idxs)
-
-    def test_warm_runs_skip_re_detection(self):
-        # Second run on the same circuit object: every formation must
-        # re-arm from the proven artifact (warm == formed) and the
-        # simulation must stay deterministic.
-        w, circuit = _build("gemm", "allopts")
-        cold = self._run(w, circuit)
-        warm = self._run(w, circuit)
-        assert warm.cycles == cold.cycles
-        assert warm.trace["formed"] > 0
-        assert warm.trace["warm"] == warm.trace["formed"]
-
-    def test_fingerprint_cache_shares_traces_across_builds(self):
-        # An independent build of the same workload/config hits the
-        # fingerprint cache, so it inherits the recorded traces too:
-        # warm from its very first run.
-        w, c1 = _build("gemm", "allopts")
-        self._run(w, c1)
-        _, c2 = _build("gemm", "allopts")
-        assert simcompile.compiled_for(c2) is simcompile.compiled_for(c1)
-        warm = self._run(w, c2)
-        assert warm.trace["formed"] > 0
-        assert warm.trace["warm"] == warm.trace["formed"]
-
-    def test_deopt_reasons_stay_in_taxonomy(self):
-        for name in ("gemm", "fib", "stencil"):
-            w, circuit = _build(name, "allopts")
-            result = self._run(w, circuit)
-            assert set(result.trace["deopts"]) <= {
-                "quiet", "complete", "divergence", "run_end"}, (
-                f"{name}: unknown deopt reason in "
-                f"{result.trace['deopts']}")
-            # Every formation eventually deopts (run_end folds the
-            # still-live ones), so the books must balance.
-            assert sum(result.trace["deopts"].values()) == \
-                result.trace["formed"]
-
-    def test_fresh_artifact_has_no_trace_state(self):
-        _, circuit = _build("gemm", "allopts")
-        art = simcompile.compiled_for(circuit)
-        for task in art.tasks.values():
-            assert task.trace_proven is False
-            assert task.steady_idxs is None
-            assert task.warm_after == 0
-
-    def test_fault_plan_disables_the_tier(self):
-        # An active FaultPlan forces the compiled path: no formations,
-        # no trace report — but behavior must match the event kernel
-        # under the identical plan, cycles included.
-        from repro.sim.faults import FaultPlan
-        plan = FaultPlan.generate(3)
-        w, circuit = _build("gemm", "allopts")
-        tr = self._run(w, circuit, kernel="trace", faults=plan)
-        ev = self._run(w, circuit, kernel="event", faults=plan)
-        assert tr.trace is None
-        assert tr.cycles == ev.cycles
-        assert list(tr.results) == list(ev.results)
-
-    def test_trace_metrics_stay_out_of_simstats(self):
-        # Stats parity is the contract that makes the tier safe to
-        # enable anywhere; formation telemetry must never leak into
-        # the SimStats document.
-        w, circuit = _build("gemm", "allopts")
-        result = self._run(w, circuit)
-        doc = result.stats.to_json()
-        assert "trace" not in doc
-        assert doc["kernel"] == "trace"
-
-
 class TestHybridPlan:
     def test_short_lived_tasks_stay_interpreted(self):
         # saxpy/allopts has both flavors: loop-header tasks (loopctl,

@@ -44,6 +44,14 @@ class TestBasicExecution:
         with pytest.raises(SimulationError):
             simulate(circuit, Memory(module), [])
 
+    def test_removed_trace_kernel_rejected(self, saxpy_source):
+        module = compile_minic(saxpy_source)
+        circuit = translate_module(module)
+        with pytest.raises(SimulationError,
+                           match="unknown simulation kernel 'trace'"):
+            simulate(circuit, Memory(module), [16, 2.0],
+                     SimParams(kernel="trace"))
+
     def test_max_cycles_guard(self, saxpy_source, saxpy_init):
         module = compile_minic(saxpy_source)
         circuit = translate_module(module)

@@ -105,6 +105,15 @@ class TestSimulate:
                      "--seed", "5", "--kernel", "compiled"]) == 0
         assert "behavior vs interpreter: OK" in capsys.readouterr().out
 
+    def test_removed_trace_kernel_is_a_usage_error(self, src_file,
+                                                   capsys):
+        # kernel="trace" was removed; old scripts must fail loudly.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", src_file, "--args", "16", "2.0",
+                  "--kernel", "trace"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
     def test_compiled_kernel_supports_trace_out(self, src_file,
                                                 tmp_path, capsys):
         tracep = str(tmp_path / "trace.json")

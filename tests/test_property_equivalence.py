@@ -157,7 +157,7 @@ class TestRandomPrograms:
 
 
 # ---------------------------------------------------------------------------
-# Trace-kernel bit identity under random fault activation
+# Compiled-kernel bit identity under random fault activation
 # ---------------------------------------------------------------------------
 
 def _run_kernel(module, circuit, trip, kernel, plan):
@@ -175,22 +175,21 @@ def _run_kernel(module, circuit, trip, kernel, plan):
     return ("ok", res.cycles, list(res.results), doc), mem.words
 
 
-class TestTraceKernelEquivalence:
-    """kernel="trace" must be bit-identical to the event kernel on
+class TestCompiledKernelEquivalence:
+    """kernel="compiled" must be bit-identical to the event kernel on
     random programs — cycles, memory, results, and the full SimStats
     document — with and without a randomly activated fault plan.
 
-    Fault events land at random mid-run cycles; an active plan forces
-    the tier's deopt policy (disabled outright), so this property
-    pins both the superblock/jump fast path and the forced-fallback
-    path against the same oracle.
+    Fault events land at random mid-run cycles, so this property pins
+    both the fault-free compiled path (instance pooling, inlined
+    channel commits) and the faulted path (fresh instances, dynamic
+    fault-channel commits) against the same oracle.
     """
 
     @_SLOW
     @given(programs(), st.integers(0, 2 ** 16),
            st.sampled_from([None, 0.5, 1.0, 2.0]))
-    def test_trace_is_bit_identical_to_event(self, prog, seed,
-                                             intensity):
+    def test_bit_identical_to_event(self, prog, seed, intensity):
         source, trip = prog
         plan = None if intensity is None else \
             FaultPlan.generate(seed, intensity=intensity)
@@ -201,7 +200,7 @@ class TestTraceKernelEquivalence:
                      TaskPipelining(), ParameterTuning()]).run(circuit)
         ev, ev_words = _run_kernel(module, circuit, trip, "event",
                                    plan)
-        tr, tr_words = _run_kernel(module, circuit, trip, "trace",
+        co, co_words = _run_kernel(module, circuit, trip, "compiled",
                                    plan)
-        assert tr == ev, source
-        assert tr_words == ev_words, source
+        assert co == ev, source
+        assert co_words == ev_words, source
