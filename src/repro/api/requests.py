@@ -46,9 +46,10 @@ SIM_FIELDS = (
 )
 
 #: Fields that may *never* differ between requests coalesced into one
-#: batched lane-group (args are the lanes, so they may).
+#: batched lane-group (args are the lanes, so they may).  ``name``
+#: flows into every lane's evaluation document.
 GROUP_FIELDS = ("workload", "source", "variant", "passes", "sim",
-                "check", "seed")
+                "check", "seed", "name")
 
 
 def _digest(doc: Dict) -> str:

@@ -803,8 +803,8 @@ DEFAULT_SERVE_ADDRESS = "127.0.0.1:8651"
 def cmd_serve(args) -> int:
     import asyncio
 
-    from .dse.engine import RetryPolicy
     from .serve import PROTOCOL, ServeServer
+    from .supervise import RetryPolicy
 
     retry = RetryPolicy(max_attempts=max(1, args.retries),
                         base_delay=args.retry_delay)
@@ -1351,8 +1351,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="heartbeat interval on open connections")
     p.add_argument("--job-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="supervisor-side deadline per execution; a "
-                        "hung worker is killed and the job retried")
+                   help="supervisor-side deadline per request (a "
+                        "lane-group of N gets N times it); a hung "
+                        "worker is killed and the request retried")
     p.add_argument("--retries", type=int, default=3, metavar="N",
                    help="max attempts per job for transient failures "
                         "(default: 3)")

@@ -7,13 +7,13 @@ Two-level scheme:
   circuit fingerprint (:func:`repro.core.serialize.circuit_fingerprint`
   — order-invariant, display-name-free) plus everything else that
   determines the result: workload identity (name, variant, args),
-  the semantically relevant :class:`~repro.sim.SimParams` fields, and
-  the cache schema version.  The object document holds the full
-  :class:`~repro.sim.SimStats` JSON and synthesis report, so a hit is
-  bit-identical to a fresh run.
+  the semantically relevant :class:`~repro.sim.SimParams` fields,
+  whether the golden check ran, and the cache schema version.  The
+  object document holds the full :class:`~repro.sim.SimStats` JSON
+  and synthesis report, so a hit is bit-identical to a fresh run.
 * **request index** — ``<root>/index.json``; maps the SHA-256 of the
-  *request* (workload, variant, pass-spec string, sim config) to the
-  content key it produced last time.  Warm re-runs are served from the
+  *request* (workload, variant, pass-spec string, sim config, check)
+  to the content key it produced last time.  Warm re-runs are served from the
   index without translating or optimizing anything; overlapping sweeps
   whose different requests produce the same hardware (e.g. reordered
   but commuting pass specs) still share one object via the content
@@ -54,8 +54,10 @@ def _digest(doc: Dict) -> str:
 
 
 def content_key(fingerprint: str, workload: str, variant: str,
-                args, sim: Dict[str, object]) -> str:
-    """Content identity of one evaluation -> object key."""
+                args, sim: Dict[str, object], check: bool = True) -> str:
+    """Content identity of one evaluation -> object key.  ``check``
+    is part of it: an unchecked result (``verified`` None) must never
+    answer a checked sweep."""
     return _digest({
         "schema": CACHE_SCHEMA,
         "circuit": fingerprint,
@@ -63,11 +65,12 @@ def content_key(fingerprint: str, workload: str, variant: str,
         "variant": variant,
         "args": [repr(a) for a in args],
         "sim": sim,
+        "check": check,
     })
 
 
 def request_key(workload: str, variant: str, pass_spec: str,
-                args, sim: Dict[str, object]) -> str:
+                args, sim: Dict[str, object], check: bool = True) -> str:
     """Cheap pre-translation identity of one request -> index key."""
     return _digest({
         "schema": CACHE_SCHEMA,
@@ -76,6 +79,7 @@ def request_key(workload: str, variant: str, pass_spec: str,
         "passes": pass_spec,
         "args": [repr(a) for a in args],
         "sim": sim,
+        "check": check,
     })
 
 

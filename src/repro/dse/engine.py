@@ -9,15 +9,16 @@ keeps searching when the environment misbehaves:
   seeded random sample) and are mapped to pass-spec strings by a
   pipeline template — only picklable primitives ever cross process
   boundaries;
-* evaluation fans out over a ``ProcessPoolExecutor`` supervised for
-  fault tolerance: a dying worker (OOM, signal) breaks the pool, so
-  the supervisor respawns it and re-enqueues the in-flight points as
-  isolated single-point chunks; transient failures (worker death,
-  wall-clock watchdogs, ``OSError``) retry with exponential backoff +
-  jitter up to :class:`RetryPolicy` limits, while deterministic error
-  families (deadlock, LI violation, pass errors...) are never
-  retried; a point implicated in **two** worker deaths is quarantined
-  as poison (:class:`~repro.errors.PoisonPointError`, exit code 11);
+* evaluation fans out over the process pool of
+  :class:`repro.supervise.SupervisedPool`, whose policy the serve
+  daemon shares: a dying worker (OOM, signal) breaks the pool, so it
+  is respawned and the in-flight points re-run as isolated suspects;
+  transient failures (worker death, wall-clock watchdogs,
+  ``OSError``) retry with exponential backoff + jitter up to
+  :class:`RetryPolicy` limits, while deterministic error families
+  (deadlock, LI violation, pass errors...) are never retried; a point
+  implicated in **two** worker deaths is quarantined as poison
+  (:class:`~repro.errors.PoisonPointError`, exit code 11);
 * every sweep can write a :class:`~repro.dse.journal.SweepJournal` —
   an append-only JSONL record of planned points, TTL leases,
   completions and failures — so ``SIGINT``/``SIGTERM`` checkpoint the
@@ -34,32 +35,26 @@ keeps searching when the environment misbehaves:
 
 from __future__ import annotations
 
-import json
 import os
-import random
 import signal
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Union
 
 from .. import telemetry
 from ..errors import (
-    PoisonPointError,
     ReproError,
     SweepInterrupted,
     error_document,
-    error_family,
     family_for,
     unexpected_error_document,
 )
 from ..opt import parse_pass_specs, spec_to_string
 from ..sim import SimParams
+from ..supervise import (RetryPolicy, SupervisedPool, Task,
+                         default_workers, maybe_chaos)
 from ..workloads import get_workload
 from .cache import (
     COUNT_KEYS,
@@ -91,31 +86,6 @@ METRICS = ("time_us", "cycles", "alms", "regs", "dsps", "fpga_mw",
 #: zero for an uneventful sweep).
 DURABILITY_KEYS = ("retries", "worker_deaths", "timeouts",
                    "quarantined", "lease_reclaims", "resumed")
-
-
-@dataclass
-class RetryPolicy:
-    """How the supervisor retries transient point failures.
-
-    ``max_attempts`` bounds total tries per point (1 = never retry);
-    delays grow exponentially from ``base_delay`` up to ``max_delay``,
-    each multiplied by a uniform jitter in ``[1 - jitter, 1 + jitter]``
-    so respawned workers don't stampede."""
-
-    max_attempts: int = 3
-    base_delay: float = 0.25
-    max_delay: float = 5.0
-    jitter: float = 0.5
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before attempt ``attempt + 1`` (attempts are
-        1-based; called with the attempt that just failed)."""
-        base = min(self.max_delay,
-                   self.base_delay * (2.0 ** max(0, attempt - 1)))
-        # Timing-only jitter: results are unaffected, so the shared
-        # deterministic RNG (repro.util.rng) is deliberately not used.
-        return base * random.uniform(1.0 - self.jitter,
-                                     1.0 + self.jitter)
 
 
 @dataclass
@@ -335,47 +305,6 @@ class ExploreReport:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Test/CI-only chaos injection: when the environment variable
-#: ``REPRO_DSE_CHAOS`` holds ``{"kill_point": {"index": N,
-#: "flag": PATH}}``, a worker evaluating point N SIGKILLs itself —
-#: once if ``flag`` is given (the flag file marks the kill as spent,
-#: so the retry survives), on every attempt otherwise (a poison
-#: point).  ``{"hang_point": {"index": N, "seconds": S, "flag":
-#: PATH}}`` sleeps instead of killing, to exercise the supervisor's
-#: per-point deadline.  This is how the failure-injection tests and
-#: the CI chaos job exercise the supervisor without patching worker
-#: internals.
-CHAOS_ENV = "REPRO_DSE_CHAOS"
-
-
-def _spend_flag(flag: Optional[str]) -> bool:
-    """True if the fault should fire (no flag, or flag not yet
-    spent); creating the flag marks it spent for later attempts."""
-    if not flag:
-        return True
-    if os.path.exists(flag):
-        return False
-    with open(flag, "w"):
-        pass
-    return True
-
-
-def _maybe_chaos(index: int) -> None:
-    spec = os.environ.get(CHAOS_ENV)
-    if not spec:
-        return
-    try:
-        doc = json.loads(spec)
-    except ValueError:
-        return
-    hang = doc.get("hang_point") or {}
-    if hang.get("index") == index and _spend_flag(hang.get("flag")):
-        time.sleep(float(hang.get("seconds", 3600)))
-    kill = doc.get("kill_point") or {}
-    if kill.get("index") == index and _spend_flag(kill.get("flag")):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
     """Evaluate a group of points sharing one pass spec in a worker.
 
@@ -436,11 +365,11 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
         if first.get("cache_root") else None
     for payload, out in zip(payloads, outs):
         t1 = time.perf_counter()
-        _maybe_chaos(payload["index"])
+        maybe_chaos(payload["index"])
         out["fingerprint"] = fingerprint
         try:
             ckey = content_key(fingerprint, w.name, variant, args,
-                               payload["sim"])
+                               payload["sim"], payload["check"])
             out["key"] = ckey
             if cache is not None:
                 doc = cache.get(ckey)
@@ -455,8 +384,7 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
             run = Pipeline.from_circuit(canon, workload=w,
                                         variant=variant)
             run.pass_spec = payload["pass_spec"]
-            ev = run.simulate(params,
-                              check=payload.get("check", True)) \
+            ev = run.simulate(params, check=payload["check"]) \
                     .synthesize(name=w.name)
             doc = {
                 "workload": w.name,
@@ -488,71 +416,214 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
     return outs
 
 
-def _evaluate_point(payload: Dict) -> Dict:
-    """Single-point compatibility wrapper over :func:`_evaluate_group`."""
-    return _evaluate_group([payload])[0]
-
-
 # ---------------------------------------------------------------------------
-# Parent side: the sweep supervisor
+# Parent side: the sweep's glue around the supervised pool
 # ---------------------------------------------------------------------------
 
 PipelineTemplate = Union[str, Callable[[Dict], str]]
 
 
-def default_workers() -> int:
-    return max(1, min(4, os.cpu_count() or 1))
+class _PointTask(Task):
+    """A point in the pool: the worker payload plus the parent-side
+    point it settles, its request-index key and its journal key."""
+
+    __slots__ = ("point", "rkey", "jkey")
+
+    def __init__(self, payload: Dict, point: PointResult,
+                 rkey: Optional[str], jkey: str):
+        super().__init__(payload)
+        self.point = point
+        self.rkey = rkey
+        self.jkey = jkey
 
 
-def _sendable(payloads: List[Dict]) -> List[Dict]:
-    return [{k: v for k, v in p.items() if not k.startswith("_")}
-            for p in payloads]
+class _Sweep:
+    """One sweep's glue around the shared
+    :class:`~repro.supervise.SupervisedPool` (the supervision policy
+    lives there): settling points, the cache's request index, journal
+    leases with polling of points another process holds, and the
+    SIGINT/SIGTERM checkpoint."""
 
-
-class _Chunk:
-    """A unit of dispatch: payloads sharing one pass spec, plus the
-    attempt this dispatch represents (1-based)."""
-
-    __slots__ = ("payloads", "attempt", "suspect")
-
-    def __init__(self, payloads: List[Dict], attempt: int = 1,
-                 suspect: bool = False):
-        self.payloads = payloads
-        self.attempt = attempt
-        self.suspect = suspect
-
-
-class _Supervisor:
-    """Drives chunks to completion through retries, worker deaths,
-    supervisor timeouts, poison quarantine, journal leases, and
-    SIGINT/SIGTERM checkpointing (see the module docstring for the
-    policy; this class is the mechanism)."""
-
-    def __init__(self, *, chunks: List[List[Dict]], workers: int,
-                 retry: RetryPolicy, point_timeout: Optional[float],
-                 journal: Optional[SweepJournal], lease_ttl: float,
-                 settle_ok, settle_fail, restore, met):
-        self.queue = deque(_Chunk(c) for c in chunks)
-        self.delayed: List[tuple] = []   # (ready_monotonic, _Chunk)
-        self.suspects: deque = deque()   # chunks run in isolation
-        self.external: Dict[str, Dict] = {}  # leased to another process
-        self.deaths: Dict[str, int] = {}
-        self.workers = workers
-        self.retry = retry
-        self.point_timeout = point_timeout
+    def __init__(self, *, journal: Optional[SweepJournal],
+                 lease_ttl: float, cache: Optional[ResultCache],
+                 progress, total: int):
         self.journal = journal
         self.lease_ttl = lease_ttl
+        self.cache = cache
+        self.progress = progress
+        self.total = total
         self.owner = f"{os.getpid()}-{os.urandom(2).hex()}"
-        self.settle_ok = settle_ok       # (payload, out, attempts) -> doc
-        self.settle_fail = settle_fail   # (payload, doc, attempts) -> doc
-        self.restore = restore           # (payload, PointState) -> None
-        self.met = met
-        self.durability: Dict[str, int] = {k: 0 for k in
-                                           DURABILITY_KEYS}
+        self.results: Dict[int, PointResult] = {}
+        self.cache_counts: Dict[str, int] = \
+            dict.fromkeys(COUNT_KEYS, 0) if cache is not None else {}
+        self.durability: Dict[str, int] = dict.fromkeys(DURABILITY_KEYS,
+                                                        0)
+        self.external: Dict[str, _PointTask] = {}  # leased elsewhere
         self.interrupted: Optional[str] = None
+        self.pool: Optional[SupervisedPool] = None
         self._ext_poll = 0.0
 
-    # -- signals -----------------------------------------------------------
+    # -- settlement --------------------------------------------------------
+    def emit(self, point: PointResult) -> None:
+        self.results[point.index] = point
+        if self.progress:
+            self.progress(point)
+
+    def restore(self, point: PointResult, ps: PointState) -> None:
+        """Settle ``point`` from its journal record."""
+        if ps.status == "done" and ps.doc:
+            restored = PointResult.from_json(ps.doc)
+            restored.index = point.index
+            restored.params = point.params
+            restored.source = "journal"
+            self.emit(restored)
+        else:
+            point.status = "failed"
+            point.error = ps.error or {
+                "error": "ReproError",
+                "message": "journal records a failure with no "
+                           "document", "exit_code": 2}
+            point.source = "journal"
+            point.attempts = max(1, ps.attempts)
+            self.emit(point)
+        self.durability["resumed"] += 1
+
+    def settle(self, task: _PointTask, out: Dict) -> None:
+        # Worker-local cache tallies ride home on the last out: metrics
+        # registries don't cross process boundaries.
+        for key, n in (out.pop("cache_counts", None) or {}).items():
+            self.cache_counts[key] = self.cache_counts.get(key, 0) + n
+        if not out.get("ok"):
+            self.fail(task, out.get("error") or {})
+            return
+        point = task.point
+        point.key = out.get("key", "")
+        point.fingerprint = out.get("fingerprint", "")
+        point.wall_s = out.get("wall_s", 0.0)
+        point.attempts = task.attempts
+        _apply_doc(point, out["doc"], source=out["source"])
+        if self.cache is not None and task.rkey:
+            self.cache.record_request(task.rkey, point.key)
+        self.emit(point)
+        if self.journal is not None:
+            self.journal.record_done(task.jkey, self.owner,
+                                     point.to_json())
+
+    def fail(self, task: _PointTask, doc: Dict) -> None:
+        point = task.point
+        point.status = "failed"
+        point.error = doc
+        point.attempts = task.attempts
+        self.emit(point)
+        if self.journal is None:
+            return
+        if doc.get("family") == "poison":
+            self.journal.record_quarantine(task.jkey, doc["deaths"], doc)
+        else:
+            self.journal.record_error(task.jkey, self.owner,
+                                      task.attempts, doc, final=True)
+
+    def retry(self, task: _PointTask, doc: Dict) -> None:
+        if self.journal is not None:
+            self.journal.record_error(task.jkey, self.owner,
+                                      task.attempts, doc, final=False)
+
+    # -- journal leases ----------------------------------------------------
+    def admit(self, tasks: List[_PointTask]) -> List[_PointTask]:
+        """Take journal leases for a chunk; returns the tasks this
+        process owns (settled ones are restored, lost races and live
+        foreign leases are parked as external)."""
+        if self.journal is None:
+            return tasks
+        now = time.time()
+        pre = self.journal.state()
+        claimable: List[_PointTask] = []
+        for task in tasks:
+            ps = pre.points.get(task.jkey)
+            if ps is None:
+                claimable.append(task)
+                continue
+            if ps.settled:
+                self.restore(task.point, ps)
+                continue
+            owner = ps.lease_owner(now)
+            if owner is not None and owner != self.owner:
+                self.external[task.jkey] = task
+                continue
+            if ps.claims and owner is None:
+                self._reclaimed()
+            claimable.append(task)
+        if not claimable:
+            return []
+        self.journal.claim([t.jkey for t in claimable], self.owner,
+                           self.lease_ttl)
+        post = self.journal.state()
+        mine: List[_PointTask] = []
+        for task in claimable:
+            ps = post.points.get(task.jkey)
+            if ps is None or ps.lease_owner(now) == self.owner:
+                mine.append(task)
+            else:
+                self.external[task.jkey] = task
+        return mine
+
+    def _reclaimed(self) -> None:
+        self.durability["lease_reclaims"] += 1
+        telemetry.metrics().counter("dse.lease_reclaims").inc()
+
+    def _poll_external(self) -> None:
+        """Check points leased to other processes: restore the ones
+        they settled; reclaim the ones whose lease expired."""
+        if not self.external:
+            return
+        now_m = time.monotonic()
+        if now_m - self._ext_poll < 0.2:
+            return
+        self._ext_poll = now_m
+        state = self.journal.state()
+        now = time.time()
+        for key, task in list(self.external.items()):
+            ps = state.points.get(key)
+            if ps is None:
+                del self.external[key]
+            elif ps.settled:
+                self.restore(task.point, ps)
+                del self.external[key]
+            elif ps.lease_owner(now) is None:
+                del self.external[key]
+                self._reclaimed()
+                self.pool.put([task])
+
+    # -- driving -----------------------------------------------------------
+    def _tick(self) -> bool:
+        """Once per pool round: checkpoint on a signal while points
+        remain, poll foreign leases; True while points leased
+        elsewhere are unsettled."""
+        if self.interrupted and len(self.results) < self.total:
+            # Only journaled sweeps route signals here.
+            self.journal.record_interrupt(self.interrupted)
+            raise SweepInterrupted(self.journal.sweep_id,
+                                   len(self.results), self.total,
+                                   self.interrupted)
+        self._poll_external()
+        return bool(self.external)
+
+    def run(self, chunks: List[List[_PointTask]], *, workers: int,
+            retry: RetryPolicy, point_timeout: Optional[float]) -> None:
+        """Evaluate ``chunks`` in worker processes, or in this thread
+        when ``workers <= 1`` or there is only one chunk."""
+        pooled = workers > 1 and len(chunks) > 1
+        size = min(workers, len(chunks)) if pooled else 1
+        self.pool = SupervisedPool(
+            _evaluate_group, client=self, workers=size,
+            executor="process" if pooled else "inline",
+            depth=2 * size if pooled else 1, retry=retry,
+            timeout=point_timeout, counters=self.durability,
+            metric_prefix="dse")
+        for chunk in chunks:
+            self.pool.put(chunk)
+        self.pool.run(self._tick)
+
     def install_signals(self):
         """Route SIGINT/SIGTERM to a checkpoint flag (main thread
         only; returns the restore map)."""
@@ -572,390 +643,6 @@ class _Supervisor:
             except (ValueError, OSError):
                 pass
         return saved
-
-    def _check_interrupt(self, pool=None):
-        if not self.interrupted:
-            return
-        if pool is not None:
-            _kill_pool(pool)
-        if self.journal is not None:
-            self.journal.record_interrupt(self.interrupted)
-        settled = self._settled_count()
-        raise SweepInterrupted(
-            self.journal.sweep_id if self.journal else "<unjournaled>",
-            settled, self._total_points(), self.interrupted)
-
-    def _settled_count(self) -> int:
-        return self._settled
-
-    # populated by run(); the engine passes totals in.
-    _settled = 0
-    _total = 0
-
-    def _total_points(self) -> int:
-        return self._total
-
-    def note_settled(self) -> None:
-        self._settled += 1
-
-    # -- journal leases ----------------------------------------------------
-    def _claim(self, chunk: _Chunk) -> List[Dict]:
-        """Take journal leases for a chunk; returns the payloads this
-        process actually owns (settled ones are restored, lost races
-        and live foreign leases are parked as external)."""
-        if self.journal is None:
-            return chunk.payloads
-        now = time.time()
-        pre = self.journal.state()
-        claimable: List[Dict] = []
-        for payload in chunk.payloads:
-            key = payload["_jkey"]
-            ps = pre.points.get(key)
-            if ps is None:
-                claimable.append(payload)
-                continue
-            if ps.settled:
-                self.restore(payload, ps)
-                self.note_settled()
-                continue
-            owner = ps.lease_owner(now)
-            if owner is not None and owner != self.owner:
-                self.external[key] = payload
-                continue
-            if ps.claims and owner is None:
-                self.durability["lease_reclaims"] += 1
-                self.met.counter("dse.lease_reclaims").inc()
-            claimable.append(payload)
-        if not claimable:
-            return []
-        self.journal.claim([p["_jkey"] for p in claimable],
-                           self.owner, self.lease_ttl)
-        post = self.journal.state()
-        mine: List[Dict] = []
-        for payload in claimable:
-            ps = post.points.get(payload["_jkey"])
-            if ps is None or ps.lease_owner(now) == self.owner:
-                mine.append(payload)
-            else:
-                self.external[payload["_jkey"]] = payload
-        return mine
-
-    def _poll_external(self) -> None:
-        """Check points leased to other processes: restore the ones
-        they settled; reclaim the ones whose lease expired."""
-        if not self.external or self.journal is None:
-            return
-        now_m = time.monotonic()
-        if now_m - self._ext_poll < 0.2:
-            return
-        self._ext_poll = now_m
-        state = self.journal.state()
-        now = time.time()
-        for key, payload in list(self.external.items()):
-            ps = state.points.get(key)
-            if ps is None:
-                del self.external[key]
-                continue
-            if ps.settled:
-                self.restore(payload, ps)
-                self.note_settled()
-                del self.external[key]
-            elif ps.lease_owner(now) is None:
-                del self.external[key]
-                self.durability["lease_reclaims"] += 1
-                self.met.counter("dse.lease_reclaims").inc()
-                self.queue.append(_Chunk([payload]))
-
-    # -- settlement --------------------------------------------------------
-    def _settle(self, chunk: _Chunk, payload: Dict, out: Dict) -> None:
-        if out.get("ok"):
-            doc = self.settle_ok(payload, out, chunk.attempt)
-            if self.journal is not None:
-                self.journal.record_done(payload["_jkey"], self.owner,
-                                         doc)
-            self.note_settled()
-        else:
-            self._settle_error(chunk, payload, out.get("error") or {})
-
-    def _settle_error(self, chunk: _Chunk, payload: Dict,
-                      doc: Dict) -> None:
-        family = doc.get("family") or error_family(doc.get("error", ""))
-        if family == "transient" and \
-                chunk.attempt < self.retry.max_attempts:
-            if self.journal is not None:
-                self.journal.record_error(payload["_jkey"], self.owner,
-                                          chunk.attempt, doc,
-                                          final=False)
-            self._requeue(payload, chunk.attempt + 1,
-                          suspect=chunk.suspect)
-            return
-        self.settle_fail(payload, doc, chunk.attempt)
-        if self.journal is not None:
-            self.journal.record_error(payload["_jkey"], self.owner,
-                                      chunk.attempt, doc, final=True)
-        self.note_settled()
-
-    def _requeue(self, payload: Dict, attempt: int,
-                 suspect: bool = False) -> None:
-        self.durability["retries"] += 1
-        self.met.counter("dse.retries").inc()
-        ready = time.monotonic() + self.retry.delay(attempt - 1)
-        self.delayed.append((ready, _Chunk([payload], attempt,
-                                           suspect)))
-
-    def _quarantine(self, payload: Dict, deaths: int) -> None:
-        index = payload["index"]
-        exc = PoisonPointError(
-            f"point {index} quarantined: evaluating it killed "
-            f"{deaths} worker process(es)", index=index, deaths=deaths)
-        doc = error_document(exc)
-        doc["family"] = "poison"
-        doc["deaths"] = deaths
-        self.durability["quarantined"] += 1
-        self.met.counter("dse.quarantined").inc()
-        self.settle_fail(payload, doc, self.deaths.get(
-            payload.get("_jkey") or f"i{index}", deaths))
-        if self.journal is not None:
-            self.journal.record_quarantine(payload["_jkey"], deaths,
-                                           doc)
-        self.note_settled()
-
-    def _note_death(self) -> None:
-        """One worker-process death (pool break) — counted per break
-        event, not per chunk it took down."""
-        self.durability["worker_deaths"] += 1
-        self.met.counter("dse.worker_deaths").inc()
-
-    def _dead(self, chunk: _Chunk, timed_out: bool) -> None:
-        """A chunk's worker died under it (or we killed the pool for a
-        deadline): classify each point and retry / quarantine / fail."""
-        if timed_out:
-            doc = {"error": "SupervisorTimeout",
-                   "message": f"point exceeded the supervisor's "
-                              f"{self.point_timeout}s wall-clock "
-                              f"deadline (worker killed)",
-                   "exit_code": 6, "family": "transient"}
-            self.durability["timeouts"] += len(chunk.payloads)
-            self.met.counter("dse.timeouts").inc(len(chunk.payloads))
-            for payload in chunk.payloads:
-                self._settle_error(chunk, payload, dict(doc))
-            return
-        for payload in chunk.payloads:
-            key = payload.get("_jkey") or f"i{payload['index']}"
-            self.deaths[key] = self.deaths.get(key, 0) + 1
-            if self.deaths[key] >= 2:
-                self._quarantine(payload, self.deaths[key])
-            elif chunk.attempt < self.retry.max_attempts:
-                # Suspects re-run in isolation (one at a time, alone
-                # in the pool) so the next death names its killer.
-                self.durability["retries"] += 1
-                self.met.counter("dse.retries").inc()
-                ready = time.monotonic() + \
-                    self.retry.delay(chunk.attempt)
-                self.delayed.append(
-                    (ready, _Chunk([payload], chunk.attempt + 1,
-                                   suspect=True)))
-            else:
-                doc = {"error": "WorkerDeath",
-                       "message": "worker process died while "
-                                  "evaluating this point",
-                       "exit_code": 1, "family": "transient",
-                       "deaths": self.deaths[key]}
-                self.settle_fail(payload, doc, chunk.attempt)
-                if self.journal is not None:
-                    self.journal.record_error(
-                        payload["_jkey"], self.owner, chunk.attempt,
-                        doc, final=True)
-                self.note_settled()
-
-    # -- scheduling --------------------------------------------------------
-    def _promote_delayed(self) -> None:
-        now = time.monotonic()
-        still = []
-        for ready, chunk in self.delayed:
-            if ready <= now:
-                (self.suspects if chunk.suspect
-                 else self.queue).append(chunk)
-            else:
-                still.append((ready, chunk))
-        self.delayed = still
-
-    def _next_wait(self) -> float:
-        if not self.delayed:
-            return 0.25
-        now = time.monotonic()
-        return max(0.01, min(0.25,
-                             min(r for r, _ in self.delayed) - now))
-
-    def _idle(self) -> bool:
-        return not (self.queue or self.delayed or self.suspects
-                    or self.external)
-
-    # -- serial driver -----------------------------------------------------
-    def run_serial(self) -> None:
-        """In-process evaluation (workers <= 1): same retry and
-        journal semantics, no pool to die."""
-        while not self._idle():
-            self._check_interrupt()
-            self._promote_delayed()
-            self._poll_external()
-            chunk = None
-            if self.suspects:
-                chunk = self.suspects.popleft()
-            elif self.queue:
-                chunk = self.queue.popleft()
-            if chunk is None:
-                time.sleep(min(0.05, self._next_wait()))
-                continue
-            payloads = self._claim(chunk)
-            if not payloads:
-                continue
-            chunk.payloads = payloads
-            for payload, out in zip(payloads,
-                                    _evaluate_group(
-                                        _sendable(payloads))):
-                self._settle(chunk, payload, out)
-
-    # -- pooled driver -----------------------------------------------------
-    def run_pooled(self) -> None:
-        pool: Optional[ProcessPoolExecutor] = None
-        inflight: Dict = {}   # future -> (chunk, start_monotonic)
-        pool_size = min(self.workers,
-                        max(1, len(self.queue) + len(self.suspects)))
-        try:
-            while not self._idle() or inflight:
-                try:
-                    self._check_interrupt(pool)
-                except SweepInterrupted:
-                    pool = _drop_pool(pool)
-                    raise
-                self._promote_delayed()
-                self._poll_external()
-                pool, broken_at_submit = self._submit_ready(
-                    pool, pool_size, inflight)
-                if not inflight:
-                    if not self._idle():
-                        time.sleep(min(0.05, self._next_wait()))
-                    continue
-                done, _pending = wait(set(inflight),
-                                      timeout=self._wait_timeout(
-                                          inflight),
-                                      return_when=FIRST_COMPLETED)
-                broken = broken_at_submit
-                for future in done:
-                    chunk, _t0 = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        for payload, out in zip(chunk.payloads,
-                                                future.result()):
-                            self._settle(chunk, payload, out)
-                    elif isinstance(exc, BrokenProcessPool):
-                        if not broken:
-                            broken = True
-                            self._note_death()
-                        self._dead(chunk, timed_out=False)
-                    else:
-                        doc = unexpected_error_document(exc)
-                        for payload in chunk.payloads:
-                            self._settle_error(chunk, payload,
-                                               dict(doc))
-                if self.point_timeout is not None and inflight:
-                    overdue = [
-                        (future, chunk)
-                        for future, (chunk, t0) in inflight.items()
-                        if time.monotonic() - t0 >
-                        self.point_timeout * len(chunk.payloads)]
-                    if overdue:
-                        _kill_pool(pool)
-                        overdue_set = {future for future, _ in overdue}
-                        for future, chunk in overdue:
-                            inflight.pop(future)
-                            self._dead(chunk, timed_out=True)
-                        # Innocent bystanders of our own kill: re-run
-                        # at the same attempt, no death on their record.
-                        for future, (chunk, _t0) in inflight.items():
-                            if future not in overdue_set:
-                                (self.suspects if chunk.suspect
-                                 else self.queue).append(chunk)
-                        inflight.clear()
-                        pool = _drop_pool(pool)
-                        continue
-                if broken:
-                    for future, (chunk, _t0) in list(inflight.items()):
-                        self._dead(chunk, timed_out=False)
-                    inflight.clear()
-                    pool = _drop_pool(pool)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _submit_ready(self, pool, pool_size, inflight):
-        """Submit work respecting the isolation rule: while suspects
-        exist, exactly one runs, alone in the pool."""
-        broken = False
-        while True:
-            if self.suspects:
-                if inflight:
-                    break
-                chunk = self.suspects.popleft()
-            elif self.queue and len(inflight) < pool_size * 2:
-                chunk = self.queue.popleft()
-            else:
-                break
-            payloads = self._claim(chunk)
-            if not payloads:
-                continue
-            chunk.payloads = payloads
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=pool_size)
-            try:
-                future = pool.submit(_evaluate_group,
-                                     _sendable(payloads))
-            except BrokenProcessPool:
-                if not broken:
-                    broken = True
-                    self._note_death()
-                self.queue.appendleft(chunk)
-                pool = _drop_pool(pool)
-                break
-            inflight[future] = (chunk, time.monotonic())
-            if chunk.suspect:
-                break
-        return pool, broken
-
-    def _wait_timeout(self, inflight) -> float:
-        timeout = self._next_wait()
-        if self.point_timeout is not None:
-            now = time.monotonic()
-            for chunk, t0 in inflight.values():
-                deadline = t0 + self.point_timeout \
-                    * len(chunk.payloads)
-                timeout = min(timeout, max(0.01, deadline - now))
-        if self.external:
-            timeout = min(timeout, 0.2)
-        return timeout
-
-
-def _kill_pool(pool) -> None:
-    """Forcibly terminate a pool's worker processes (best effort —
-    ``shutdown`` alone would wait for running tasks)."""
-    if pool is None:
-        return
-    procs = getattr(pool, "_processes", None) or {}
-    for proc in list(procs.values()):
-        try:
-            proc.terminate()
-        except (OSError, AttributeError):
-            pass
-
-
-def _drop_pool(pool):
-    if pool is not None:
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # noqa: BLE001 - already broken
-            pass
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1174,64 +861,10 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
         workers = default_workers()
     if isinstance(cache, str):
         cache = ResultCache(cache)
-    retry = retry or RetryPolicy()
     args = list(w.args_for(variant))
-    results: Dict[int, PointResult] = {}
-    pending: List[Dict] = []
-    resumed = 0
-
-    cache_counts: Dict[str, int] = {k: 0 for k in COUNT_KEYS} \
-        if cache is not None else {}
-
-    def merge_counts(out: Dict) -> None:
-        for key, n in (out.pop("cache_counts", None) or {}).items():
-            cache_counts[key] = cache_counts.get(key, 0) + n
-
-    def emit(point: PointResult) -> None:
-        results[point.index] = point
-        if progress:
-            progress(point)
-
-    def settle_ok(payload: Dict, out: Dict, attempts: int) -> Dict:
-        merge_counts(out)
-        point: PointResult = payload["_point"]
-        point.key = out.get("key", "")
-        point.fingerprint = out.get("fingerprint", "")
-        point.wall_s = out.get("wall_s", 0.0)
-        point.attempts = attempts
-        _apply_doc(point, out["doc"], source=out["source"])
-        if cache is not None and payload.get("_rkey"):
-            cache.record_request(payload["_rkey"], point.key)
-        emit(point)
-        return point.to_json()
-
-    def settle_fail(payload: Dict, doc: Dict, attempts: int) -> Dict:
-        point: PointResult = payload["_point"]
-        point.status = "failed"
-        point.error = doc
-        point.attempts = attempts
-        emit(point)
-        return point.to_json()
-
-    def restore(payload: Dict, ps: PointState) -> None:
-        nonlocal resumed
-        point: PointResult = payload["_point"]
-        if ps.status == "done" and ps.doc:
-            restored = PointResult.from_json(ps.doc)
-            restored.index = point.index
-            restored.params = point.params
-            restored.source = "journal"
-            emit(restored)
-        else:
-            point.status = "failed"
-            point.error = ps.error or {
-                "error": "ReproError",
-                "message": "journal records a failure with no "
-                           "document", "exit_code": 2}
-            point.source = "journal"
-            point.attempts = max(1, ps.attempts)
-            emit(point)
-        resumed += 1
+    sweep = _Sweep(journal=journal, lease_ttl=lease_ttl, cache=cache,
+                   progress=progress, total=len(planned))
+    pending: List[_PointTask] = []
 
     # Settle what we can without dispatching: planning failures,
     # journal restores, request-index cache hits.
@@ -1240,11 +873,11 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
         ps = journal_state.points.get(row["key"]) \
             if journal_state is not None else None
         if ps is not None and ps.settled:
-            restore(row, ps)
+            sweep.restore(point, ps)
             continue
         if row["_plan_error"] is not None:
             point.error = row["_plan_error"]
-            emit(point)
+            sweep.emit(point)
             if journal is not None:
                 journal.record_error(row["key"], "planner", 1,
                                      row["_plan_error"], final=True)
@@ -1252,16 +885,16 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
         rkey = None
         if cache is not None:
             rkey = request_key(w.name, variant, row["pass_spec"],
-                               args, row["sim"])
+                               args, row["sim"], check)
             doc = cache.lookup_request(rkey)
             if doc is not None:
                 _apply_doc(point, doc, source="cache-index")
-                emit(point)
+                sweep.emit(point)
                 if journal is not None:
                     journal.record_done(row["key"], "index",
                                         point.to_json())
                 continue
-        pending.append({
+        pending.append(_PointTask({
             "index": row["index"],
             "workload": w.name,
             "variant": variant,
@@ -1270,10 +903,7 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
             "wallclock_timeout": sim.wallclock_timeout,
             "check": check,
             "cache_root": cache.root if cache is not None else None,
-            "_point": point,
-            "_rkey": rkey,
-            "_jkey": row["key"],
-        })
+        }, point, rkey, row["key"]))
 
     # Batched dispatch: points sharing a pass spec share a canonical
     # circuit fingerprint, so they ship to workers as *groups* and the
@@ -1281,10 +911,10 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
     # translation + optimization + specialization for the whole axis).
     # Each group is split into at most ``workers`` chunks so a single
     # large group still saturates the pool.
-    by_spec: Dict[str, List[Dict]] = {}
-    for payload in pending:
-        by_spec.setdefault(payload["pass_spec"], []).append(payload)
-    chunks: List[List[Dict]] = []
+    by_spec: Dict[str, List[_PointTask]] = {}
+    for task in pending:
+        by_spec.setdefault(task.payload["pass_spec"], []).append(task)
+    chunks: List[List[_PointTask]] = []
     for group in by_spec.values():
         ways = min(max(1, workers), len(group))
         chunks.extend([group[i::ways] for i in range(ways)])
@@ -1295,41 +925,31 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
     for chunk in chunks:
         group_sizes.observe(len(chunk))
 
-    sup = _Supervisor(
-        chunks=chunks, workers=workers, retry=retry,
-        point_timeout=point_timeout, journal=journal,
-        lease_ttl=lease_ttl, settle_ok=settle_ok,
-        settle_fail=settle_fail, restore=restore, met=met)
-    sup._settled = len(results)
-    sup._total = len(planned)
-
-    saved_signals = sup.install_signals() if journal is not None \
+    saved_signals = sweep.install_signals() if journal is not None \
         else {}
     try:
         with telemetry.tracer().span("dse.explore", category="dse",
                                      workload=w.name,
                                      points=len(planned),
                                      workers=workers) as _sp:
-            if len(pending) <= 1 or workers <= 1:
-                sup.run_serial()
-            else:
-                sup.run_pooled()
+            sweep.run(chunks, workers=workers,
+                      retry=retry or RetryPolicy(),
+                      point_timeout=point_timeout)
+            cache_counts = sweep.cache_counts
             if cache is not None:
                 cache.save_index()
                 for key, n in cache.counts.items():
                     cache_counts[key] = cache_counts.get(key, 0) + n
-
-            durability = dict(sup.durability)
-            durability["resumed"] = resumed
+            results = sweep.results
             report = ExploreReport(
                 workload=w.name, variant=variant, template=template,
                 objectives=list(objectives), sim=base_sim,
                 workers=workers,
                 points=[results[i] for i in sorted(results)],
                 wall_s=time.perf_counter() - t0,
-                cache=dict(cache_counts) if cache is not None else {},
+                cache=dict(cache_counts),
                 sweep_id=journal.sweep_id if journal else "",
-                durability=durability)
+                durability=dict(sweep.durability))
             c = report.counts
             _sp.set(ok=c["ok"], failed=c["failed"],
                     cache_hits=c["cache_hits"], groups=len(chunks),

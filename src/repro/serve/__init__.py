@@ -3,8 +3,9 @@
 Long-lived serving front end over :mod:`repro.api`'s typed
 request/response schema: an asyncio daemon (:mod:`.server`) that
 dedupes identical in-flight requests, coalesces compatible scalar
-requests into batched lane-groups, supervises a worker pool with
-retry/quarantine (PR 8's machinery), and keeps hot circuit front ends
+requests into batched lane-groups, runs them on the supervised
+worker pool sweeps also use (:mod:`repro.supervise`: retry, suspect
+isolation, quarantine, deadlines), and keeps hot circuit front ends
 pinned in a per-worker LRU (:mod:`.worker`).  :mod:`.client` is the
 synchronous client library; :mod:`.protocol` the HTTP-lite/NDJSON
 framing.

@@ -2,7 +2,7 @@
 
 One blocking call per request — connect, POST, stream NDJSON events,
 return the terminal document.  Connection-level failures (refused,
-reset, mid-stream EOF) retry with :class:`~repro.dse.engine.RetryPolicy`
+reset, mid-stream EOF) retry with :class:`~repro.supervise.RetryPolicy`
 backoff: evaluation requests are idempotent (same canonical key, same
 payload), so a re-send against a restarted daemon is always safe.
 Heartbeat events invoke an optional callback so CLIs can show
@@ -17,7 +17,7 @@ import socket
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from ..dse.engine import RetryPolicy
+from ..supervise import RetryPolicy
 from ..errors import ReproError
 from ..api.requests import EvaluationRequest, EvaluationResponse
 from .protocol import PROTOCOL, encode_request, parse_event

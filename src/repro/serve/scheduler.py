@@ -1,27 +1,31 @@
-"""The serve scheduler: request queue, dedup, coalescing, supervision.
+"""The serve scheduler: request queue, dedup, coalescing, hand-off.
 
 One :class:`Scheduler` per daemon.  Connections :meth:`submit`
-requests and get back a :class:`Job`; the scheduler's asyncio worker
-loops drain the queue into a supervised executor pool:
+requests and get back a :class:`Job`; one event-loop task hands the
+queue to the supervised worker pool:
 
 * **Dedup** — a request whose ``canonical_key`` matches a queued or
   running job attaches to that job instead of enqueuing a second
   execution: one computation, N subscribers, all of whom receive the
   *same serialized payload bytes* (the response is serialized exactly
   once, at finalization).
-* **Coalescing** — when a worker picks up a coalescible scalar
-  request it drains every queued request with the same ``group_key``
-  (same design/variant/passes/sim/check, differing only in root
-  arguments) into one ``simulate_batch`` lane-group, up to
-  ``max_batch`` lanes: one front end and one compiled circuit for
-  the whole group.
-* **Supervision** — PR 8's machinery, re-aimed at serving: transient
-  failures retry with :class:`~repro.dse.engine.RetryPolicy` backoff,
-  a ``BrokenProcessPool`` respawns the pool and re-enqueues the
-  group's members as singletons, and a request that kills workers
-  twice is quarantined with a ``PoisonPointError`` document instead
-  of taking the daemon down with it.
+* **Coalescing** — when the pool has a free slot, the oldest queued
+  job is handed to it together with every queued coalescible request
+  of the same ``group_key`` (same design/variant/passes/sim/check/
+  name, differing only in root arguments), up to ``max_batch``
+  lanes: one ``simulate_batch`` lane-group, one front end and one
+  compiled circuit for the whole group.
+* **Supervision** — the pool is :class:`repro.supervise.SupervisedPool`,
+  the one sweeps run on, so a request gets exactly a design point's
+  treatment: transient failures retry with backoff, a pool break is
+  one worker death whose in-flight requests re-run alone as suspects,
+  a request in flight for two deaths is quarantined with a
+  ``PoisonPointError`` document, and a request past ``job_timeout``
+  is charged a ``SupervisorTimeout`` while the requests its pool kill
+  interrupted re-run uncharged.
 
+The hand-off task wakes on submission and on completion, and
+otherwise only when the pool's next retry or deadline is due.
 Scheduling counters are plain dict state (always on — ``report``
 must work without telemetry); when telemetry is enabled they are
 mirrored into the metrics registry and every finalized request also
@@ -34,22 +38,20 @@ import asyncio
 import json
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Deque, Dict, List, Optional
 
 from .. import telemetry
-from ..dse.engine import (RetryPolicy, _drop_pool, _kill_pool,
-                          default_workers)
-from ..errors import PoisonPointError, ReproError, error_document
+from ..errors import ReproError, error_document
+from ..supervise import RetryPolicy, SupervisedPool, Task, default_workers
 from . import worker as _worker
 from .protocol import event_bytes
 
 EXECUTORS = ("process", "thread")
 
 #: Scheduler counters, all always-on.  ``dedup_hits`` counts requests
-#: answered by an already in-flight computation; ``coalesced_lanes``
-#: counts requests that rode a shared lane-group beyond its first.
+#: answered by an already in-flight computation; ``executions`` counts
+#: lane-groups dispatched to the pool; ``coalesced_lanes`` counts
+#: requests that rode a shared lane-group beyond its first.
 COUNTER_KEYS = (
     "requests", "dedup_hits", "executions", "batches",
     "coalesced_lanes", "ok", "errors", "retries", "worker_deaths",
@@ -57,17 +59,17 @@ COUNTER_KEYS = (
 )
 
 
-class Job:
-    """One deduplicated unit of queued/running/finished work."""
+class Job(Task):
+    """One deduplicated unit of queued/running/finished work; its
+    pool ``payload`` is the request wire document."""
 
-    __slots__ = ("request", "doc", "key", "group", "verb",
-                 "coalescible", "state", "done", "response_doc",
-                 "payload_bytes", "enqueued", "started", "finished",
-                 "attempts", "deaths", "subscribers")
+    __slots__ = ("request", "key", "group", "verb", "coalescible",
+                 "state", "done", "response_doc", "payload_bytes",
+                 "enqueued", "started", "finished", "subscribers")
 
     def __init__(self, request, doc: Dict):
+        super().__init__(doc)
         self.request = request
-        self.doc = doc                      # request wire document
         self.key = request.canonical_key()
         self.group = request.group_key()
         self.verb = request.kind
@@ -79,8 +81,6 @@ class Job:
         self.enqueued = time.monotonic()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
-        self.attempts = 0
-        self.deaths = 0
         self.subscribers = 1
 
     @property
@@ -89,7 +89,7 @@ class Job:
 
 
 class Scheduler:
-    """Owns the queue, the dedup table, and the executor pool."""
+    """Owns the queue, the dedup table, and the supervised pool."""
 
     def __init__(self, *, workers: Optional[int] = None,
                  executor: str = "process", max_batch: int = 8,
@@ -103,16 +103,18 @@ class Scheduler:
         self.workers = workers or default_workers()
         self.executor_kind = executor
         self.max_batch = max(1, max_batch)
-        self.retry = retry or RetryPolicy()
-        self.job_timeout = job_timeout
         self.counters: Dict[str, int] = dict.fromkeys(COUNTER_KEYS, 0)
         self.started_at = time.time()
         self._queue: Deque[Job] = deque()
         self._inflight: Dict[str, Job] = {}
-        self._wakeup: Optional[asyncio.Condition] = None
-        self._pool = None
-        self._pool_lock: Optional[asyncio.Lock] = None
-        self._tasks: List[asyncio.Task] = []
+        self._pool = SupervisedPool(
+            _worker.run_docs, client=self, workers=self.workers,
+            executor=executor, retry=retry, timeout=job_timeout,
+            counters=self.counters, metric_prefix="serve",
+            notify=self._completed)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._wake: Optional[asyncio.Event] = None
+        self._driver: Optional[asyncio.Task] = None
         self._closing = False
         self._ledger = None
         if ledger_root is not None:
@@ -121,33 +123,21 @@ class Scheduler:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        self._wakeup = asyncio.Condition()
-        self._pool_lock = asyncio.Lock()
-        self._pool = self._new_pool()
-        self._tasks = [
-            asyncio.create_task(self._worker_loop(i),
-                                name=f"serve-worker-{i}")
-            for i in range(self.workers)]
-
-    def _new_pool(self):
-        if self.executor_kind == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers,
-                                  thread_name_prefix="serve")
+        self._loop = asyncio.get_running_loop()
+        self._wake = asyncio.Event()
+        self._driver = asyncio.create_task(self._drive(),
+                                           name="serve-pool")
 
     async def close(self) -> None:
         self._closing = True
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
+        if self._driver is not None:
+            self._driver.cancel()
             try:
-                await task
+                await self._driver
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
-        self._tasks = []
-        if self.executor_kind == "process":
-            _kill_pool(self._pool)
-        self._pool = _drop_pool(self._pool)
+            self._driver = None
+        self._pool.close()
         # Fail anything still queued so no subscriber hangs.
         shutdown_doc = error_document(
             ReproError("server shut down before this request ran"))
@@ -175,8 +165,7 @@ class Scheduler:
         self._inflight[key] = job
         self._queue.append(job)
         self._gauge_depth()
-        async with self._wakeup:
-            self._wakeup.notify()
+        self._wake.set()
         return job
 
     def queue_depth(self) -> int:
@@ -195,37 +184,32 @@ class Scheduler:
             "uptime_s": round(time.time() - self.started_at, 3),
         }
 
-    async def drain(self) -> None:
-        """Wait until every accepted request has finalized (tests)."""
-        while any(not j.done.is_set()
-                  for j in self._inflight.values()) or self._queue:
-            await asyncio.sleep(0.01)
-
-    # -- the worker loops --------------------------------------------------
-    async def _worker_loop(self, slot: int) -> None:
+    # -- the hand-off ------------------------------------------------------
+    async def _drive(self) -> None:
+        """Hand lane-groups to free pool slots, dispatch, and reap."""
         while True:
-            async with self._wakeup:
-                while not self._queue:
-                    await self._wakeup.wait()
-                job = self._queue.popleft()
-                group = self._coalesce(job)
+            self._wake.clear()
+            while self._queue and self._pool.free():
+                self._pool.put(self._coalesce(self._queue.popleft()))
             self._gauge_depth()
+            self._pool.pump()
             try:
-                await self._run_group(group)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - loop must live
-                doc = error_document(exc) if isinstance(exc, ReproError) \
-                    else {"error": type(exc).__name__,
-                          "message": str(exc), "exit_code": 1}
-                doc["family"] = "deterministic"
-                for member in group:
-                    if not member.done.is_set():
-                        self._finalize_error(member, doc)
+                await asyncio.wait_for(self._wake.wait(),
+                                       self._pool.next_event_s())
+            except asyncio.TimeoutError:
+                pass
+            self._pool.reap()
+
+    def _completed(self, _future) -> None:
+        """Pool done-callback (any thread): wake the hand-off task."""
+        try:
+            self._loop.call_soon_threadsafe(self._wake.set)
+        except RuntimeError:
+            pass  # loop closed: an abandoned call finished after close
 
     def _coalesce(self, job: Job) -> List[Job]:
         """Drain queued jobs compatible with ``job`` into one
-        lane-group (caller holds the wakeup lock)."""
+        lane-group."""
         group = [job]
         if not job.coalescible or self.max_batch < 2:
             return group
@@ -239,32 +223,11 @@ class Scheduler:
         self._queue.extendleft(reversed(keep))
         return group
 
-    async def _run_group(self, group: List[Job]) -> None:
+    # -- pool glue (see SupervisedPool) ------------------------------------
+    def admit(self, group: List[Job]) -> List[Job]:
         for job in group:
             job.state = "running"
             job.started = time.monotonic()
-            job.attempts += 1
-        loop = asyncio.get_running_loop()
-        docs = [job.doc for job in group]
-        try:
-            if len(group) == 1:
-                future = loop.run_in_executor(
-                    self._pool, _worker.run_payload, docs[0])
-            else:
-                future = loop.run_in_executor(
-                    self._pool, _worker.run_group_payload, docs)
-            if self.job_timeout:
-                outs = await asyncio.wait_for(future, self.job_timeout)
-            else:
-                outs = await future
-        except BrokenProcessPool:
-            await self._handle_deaths(group)
-            return
-        except asyncio.TimeoutError:
-            await self._handle_timeout(group, future)
-            return
-        if len(group) == 1:
-            outs = [outs]
         self.counters["executions"] += 1
         if len(group) > 1:
             self.counters["batches"] += 1
@@ -274,84 +237,19 @@ class Scheduler:
                 telemetry.metrics().histogram(
                     "serve.batch.size",
                     buckets=(1, 2, 4, 8, 16)).observe(len(group))
-        for job, out in zip(group, outs):
-            if out.get("meta", {}).get("lru") == "hit":
-                self.counters["lru_hits"] += 1
-                self._mirror("serve.lru.hits")
-            error = out.get("error") or {}
-            if out.get("status") == "error" \
-                    and error.get("family") == "transient" \
-                    and job.attempts < self.retry.max_attempts:
-                await self._requeue(job)
-            else:
-                self._finalize(job, out)
+        return group
 
-    # -- supervision -------------------------------------------------------
-    async def _handle_deaths(self, group: List[Job]) -> None:
-        """The pool broke under this group: respawn it, quarantine
-        repeat offenders, retry the rest as singletons."""
-        async with self._pool_lock:
-            _kill_pool(self._pool)
-            self._pool = _drop_pool(self._pool)
-            self._pool = self._new_pool()
-        self.counters["worker_deaths"] += 1
-        self._mirror("serve.worker.deaths")
-        for job in group:
-            job.deaths += 1
-            if job.deaths >= 2:
-                exc = PoisonPointError(
-                    f"request {job.key[:12]} killed {job.deaths} "
-                    f"worker(s); quarantined", deaths=job.deaths)
-                doc = error_document(exc)
-                doc["family"] = "poison"
-                doc["deaths"] = job.deaths
-                self.counters["quarantined"] += 1
-                self._mirror("serve.quarantined")
-                self._finalize_error(job, doc)
-            else:
-                await self._requeue(job, singleton=True)
+    def settle(self, job: Job, out: Dict) -> None:
+        if out.get("meta", {}).get("lru") == "hit":
+            self.counters["lru_hits"] += 1
+            self._mirror("serve.lru.hits")
+        self._finalize(job, out)
 
-    async def _handle_timeout(self, group: List[Job], future) -> None:
-        """Supervisor-side deadline fired.  Process pools are killed
-        and respawned (the hung worker cannot be cancelled); thread
-        pools can only abandon the future."""
-        self.counters["timeouts"] += 1
-        self._mirror("serve.timeouts")
-        if self.executor_kind == "process":
-            async with self._pool_lock:
-                _kill_pool(self._pool)
-                self._pool = _drop_pool(self._pool)
-                self._pool = self._new_pool()
-        doc = {"error": "SupervisorTimeout",
-               "message": f"request exceeded the server deadline "
-                          f"({self.job_timeout:g}s)",
-               "exit_code": 6, "family": "transient"}
-        for job in group:
-            if job.attempts < self.retry.max_attempts:
-                await self._requeue(job, singleton=True)
-            else:
-                self._finalize_error(job, doc)
+    def fail(self, job: Job, doc: Dict) -> None:
+        self._finalize_error(job, doc)
 
-    async def _requeue(self, job: Job, *,
-                       singleton: bool = False) -> None:
-        self.counters["retries"] += 1
-        self._mirror("serve.retries")
+    def retry(self, job: Job, _doc: Dict) -> None:
         job.state = "queued"
-        if singleton:
-            # A request that broke a shared group retries alone so it
-            # cannot take innocent lane-mates down a second time.
-            job.coalescible = False
-        delay = self.retry.delay(job.attempts)
-
-        async def _delayed():
-            await asyncio.sleep(delay)
-            if job.done.is_set():
-                return
-            self._queue.append(job)
-            async with self._wakeup:
-                self._wakeup.notify()
-
-        asyncio.get_running_loop().create_task(_delayed())
 
     # -- finalization ------------------------------------------------------
     def _finalize(self, job: Job, out: Dict) -> None:

@@ -36,9 +36,10 @@ from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..api.requests import EvaluationRequest
-from ..dse.engine import (METRICS, PointResult, RetryPolicy,
-                          pareto_frontier, plan_points)
+from ..dse.engine import (METRICS, PointResult, pareto_frontier,
+                          plan_points)
 from ..errors import ReproError, error_document
+from ..supervise import RetryPolicy
 from .protocol import (PROTOCOL, ProtocolError, event_bytes,
                        read_request, response_header, verb_of)
 from .scheduler import Scheduler

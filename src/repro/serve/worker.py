@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import threading
 import time
 from collections import OrderedDict
@@ -27,12 +26,7 @@ from ..api import (EvaluationRequest, Pipeline, batch_evaluation_docs,
 from ..api.requests import EVAL_SCHEMA
 from ..errors import (ReproError, error_document, error_family,
                       family_for, unexpected_error_document)
-
-#: Chaos-injection env var (test/CI only): ``{"kill_request":
-#: {"substr": ..., "flag": ...}}`` SIGKILLs the worker the first time
-#: it picks up a request whose describe() contains the substring —
-#: the supervision tests drive worker-death recovery with it.
-CHAOS_ENV = "REPRO_SERVE_CHAOS"
+from ..supervise import maybe_chaos
 
 #: Hot front-ends kept per worker.  Front ends are a few MB each at
 #: most (graph + pass log); 32 designs comfortably covers a serving
@@ -119,31 +113,6 @@ def _pipeline_for(request: EvaluationRequest) -> Tuple[Pipeline, str]:
     return pipe, "hit"
 
 
-def _spend_flag(flag: Optional[str]) -> bool:
-    if not flag:
-        return True
-    if os.path.exists(flag):
-        return False
-    with open(flag, "w"):
-        pass
-    return True
-
-
-def _maybe_chaos(request: EvaluationRequest) -> None:
-    spec = os.environ.get(CHAOS_ENV)
-    if not spec:
-        return
-    try:
-        doc = json.loads(spec)
-    except ValueError:
-        return
-    kill = doc.get("kill_request") or {}
-    substr = kill.get("substr")
-    if substr and substr in request.describe() \
-            and _spend_flag(kill.get("flag")):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 def run_payload(doc: Dict) -> Dict:
     """Pool entry point for one request document.
 
@@ -157,7 +126,7 @@ def run_payload(doc: Dict) -> Dict:
         request = EvaluationRequest.from_json(doc)
     except ReproError as exc:
         return _error_response(exc, t0)
-    _maybe_chaos(request)
+    maybe_chaos(request.describe())
     try:
         pipe, lru = _pipeline_for(request)
         response = execute(request, pipeline=pipe)
@@ -210,7 +179,7 @@ def run_group_payload(docs: Sequence[Dict]) -> List[Dict]:
         return [out for out in outs if out is not None]
     base = live[0][1]
     for _, request in live:
-        _maybe_chaos(request)
+        maybe_chaos(request.describe())
     try:
         params = base.sim_params()
         pipe, lru = _pipeline_for(base)
@@ -264,6 +233,15 @@ def run_group_payload(docs: Sequence[Dict]) -> List[Dict]:
                        "evaluation": lane_doc, "lanes": None,
                        "error": None, "meta": meta}
     return [out for out in outs if out is not None]
+
+
+def run_docs(docs: Sequence[Dict]) -> List[Dict]:
+    """Pool entry point for one lane-group the scheduler hands out:
+    a lone request runs scalar (:func:`run_payload`), more run as one
+    batch (:func:`run_group_payload`)."""
+    if len(docs) == 1:
+        return [run_payload(docs[0])]
+    return run_group_payload(docs)
 
 
 def lru_counts() -> Dict[str, int]:

@@ -19,7 +19,8 @@ from repro.core.serialize import (
     circuit_from_dict,
     circuit_to_dict,
 )
-from repro.dse import CACHE_SCHEMA, ResultCache, content_key, request_key
+from repro.dse import (CACHE_SCHEMA, GridSpace, ResultCache, content_key,
+                       explore, request_key)
 from repro.dse.cache import sim_key_dict
 from repro.sim import SimParams
 
@@ -158,6 +159,25 @@ class TestKeys:
                            [16], sim) != base
         assert request_key("fib", "base", "memory_localization",
                            [16], sim) != base
+
+    def test_checked_sweep_never_answered_by_unchecked_cache(
+            self, tmp_path):
+        root = str(tmp_path / "c")
+
+        def sweep(check):
+            return explore("saxpy", GridSpace({"banks": [1, 2]}),
+                           pipeline="localize,banking={banks}",
+                           workers=1, cache=root, check=check)
+
+        unchecked = sweep(False)
+        assert all(p.verified is None for p in unchecked.points)
+        checked = sweep(True)
+        assert [p.source for p in checked.points] == ["fresh", "fresh"]
+        assert all(p.verified is True for p in checked.points)
+        again = sweep(True)
+        assert [p.source for p in again.points] == \
+            ["cache-index", "cache-index"]
+        assert all(p.verified is True for p in again.points)
 
 
 class TestResultCache:

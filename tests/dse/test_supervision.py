@@ -1,10 +1,11 @@
 """Failure-injection tests for the sweep supervisor.
 
-Chaos is injected through the ``REPRO_DSE_CHAOS`` environment
-variable (inherited by pool workers): ``kill_point`` SIGKILLs the
-worker evaluating a given point — once (a transient death) when a
-spend-flag path is given, every attempt (poison) otherwise;
-``hang_point`` sleeps to trip the supervisor's per-point deadline.
+Chaos is injected through the ``REPRO_CHAOS`` environment variable
+(inherited by pool workers), labelled by point index: ``kill``
+SIGKILLs the worker evaluating a given point — once (a transient
+death) when a spend-flag path is given, every attempt (poison)
+otherwise; ``hang`` sleeps to trip the supervisor's per-point
+deadline.
 The claims under test:
 
 * a worker death breaks the pool; the supervisor respawns it and the
@@ -40,14 +41,14 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01,
 
 
 def _chaos(monkeypatch, **spec):
-    monkeypatch.setenv("REPRO_DSE_CHAOS", json.dumps(spec))
+    monkeypatch.setenv("REPRO_CHAOS", json.dumps(spec))
 
 
 class TestWorkerDeath:
     def test_sigkill_once_point_retried_sweep_completes(
             self, tmp_path, monkeypatch):
-        _chaos(monkeypatch, kill_point={
-            "index": 1, "flag": str(tmp_path / "spent")})
+        _chaos(monkeypatch, kill={
+            "label": 1, "flag": str(tmp_path / "spent")})
         report = explore(
             "saxpy", GridSpace({"banks": [1, 2, 4]}),
             pipeline=TEMPLATE, workers=2, cache=None,
@@ -60,7 +61,7 @@ class TestWorkerDeath:
 
     def test_poison_point_quarantined_rest_survives(
             self, tmp_path, monkeypatch):
-        _chaos(monkeypatch, kill_point={"index": 1})
+        _chaos(monkeypatch, kill={"label": 1})
         report = explore(
             "saxpy", GridSpace({"banks": [1, 2, 4]}),
             pipeline=TEMPLATE, workers=2, cache=None,
@@ -79,8 +80,8 @@ class TestWorkerDeath:
 
     def test_supervisor_timeout_kills_hung_worker(
             self, tmp_path, monkeypatch):
-        _chaos(monkeypatch, hang_point={
-            "index": 0, "seconds": 60,
+        _chaos(monkeypatch, hang={
+            "label": 0, "seconds": 60,
             "flag": str(tmp_path / "spent")})
         report = explore(
             "saxpy", GridSpace({"banks": [1, 2]}),

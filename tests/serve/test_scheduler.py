@@ -3,15 +3,15 @@ supervision, and the per-request ledger.
 
 These tests drive the :class:`~repro.serve.scheduler.Scheduler`
 directly inside one event loop.  Determinism trick: after
-``scheduler.start()`` the worker tasks exist but have not yet run, and
-``submit()`` never yields to them (uncontended asyncio locks acquire
-on the fast path), so every request submitted before the first
-``await`` on a job is *guaranteed* to be queued together — dedup and
-coalescing decisions become exact counter assertions, not races.
+``scheduler.start()`` the hand-off task exists but has not yet run,
+and ``submit()`` never yields to it, so every request submitted
+before the first ``await`` on a job is *guaranteed* to be queued
+together — dedup and coalescing decisions become exact counter
+assertions, not races.
 
-Worker-death chaos reuses the serve worker's ``REPRO_SERVE_CHAOS``
-env hook (set before the pool spawns, inherited by its processes),
-mirroring the DSE supervision tests.
+Worker-death chaos uses the shared ``REPRO_CHAOS`` env hook (set
+before the pool spawns, inherited by its processes), labelled by
+``describe()``, exactly as the DSE supervision tests label points.
 """
 
 import asyncio
@@ -144,6 +144,24 @@ class TestCoalescing:
             assert sched.counters["executions"] == 2
 
         run(go())
+
+    def test_requests_differing_in_name_keep_their_names(self):
+        named = [EvaluationRequest(source=SRC, args=args, name=f"run{i}")
+                 for i, args in enumerate(self.ARGS)]
+
+        async def go():
+            sched = Scheduler(workers=1, executor="thread",
+                              max_batch=8)
+            await sched.start()
+            jobs = [await sched.submit(r) for r in named]
+            await _finish(sched, jobs)
+            return [j.response_doc for j in jobs]
+
+        docs = run(go())
+        for req, doc in zip(named, docs):
+            assert response_payload_bytes(doc) == \
+                response_payload_bytes(execute(req).to_json()), \
+                f"{req.name} answered as {doc['evaluation']['name']}"
 
     def test_non_coalescible_request_rides_alone(self):
         async def go():
@@ -293,19 +311,18 @@ class TestSupervisorTimeout:
 class TestWorkerDeath:
     """SIGKILL chaos against a real process pool (slow: pool spawn)."""
 
-    #: The chaos hook matches a substring of ``describe()``.  Only this
-    #: class sends a request that describes as "fib passes=op_fusion",
-    #: so the hook can never fire on another test's call.
+    #: The chaos hook matches ``describe()`` exactly.  Only this class
+    #: sends a request that describes as "fib passes=op_fusion", so
+    #: the hook can never fire on another test's call.
     KILLABLE = EvaluationRequest(workload="fib", passes="op_fusion")
-    SUBSTR = KILLABLE.describe()
+    LABEL = KILLABLE.describe()
 
     def _chaos(self, monkeypatch, **kill):
-        monkeypatch.setenv("REPRO_SERVE_CHAOS",
-                           json.dumps({"kill_request": kill}))
+        monkeypatch.setenv("REPRO_CHAOS", json.dumps({"kill": kill}))
 
     def test_death_respawns_pool_and_retries(self, tmp_path,
                                              monkeypatch):
-        self._chaos(monkeypatch, substr=self.SUBSTR,
+        self._chaos(monkeypatch, label=self.LABEL,
                     flag=str(tmp_path / "spent"))
 
         async def go():
@@ -323,7 +340,7 @@ class TestWorkerDeath:
 
     def test_repeat_killer_is_quarantined(self, monkeypatch):
         # no flag: kills every time
-        self._chaos(monkeypatch, substr=self.SUBSTR)
+        self._chaos(monkeypatch, label=self.LABEL)
 
         async def go():
             sched = Scheduler(workers=1, executor="process",
@@ -341,6 +358,67 @@ class TestWorkerDeath:
             assert poison.response_doc["error"]["family"] == "poison"
             # the daemon survives: the innocent request still lands
             assert innocent.response_doc["status"] == "ok"
+
+        run(go())
+
+
+class TestConcurrentSupervision:
+    """A faulty request beside innocent ones on a two-worker process
+    pool: the fault is charged to the faulty request alone."""
+
+    INNOCENTS = [EvaluationRequest(workload=w) for w in
+                 ("spmv", "softm16", "dense8", "relu_t", "softm8",
+                  "covar")]
+
+    def _chaos(self, monkeypatch, **spec):
+        monkeypatch.setenv("REPRO_CHAOS", json.dumps(spec))
+
+    def test_killer_is_quarantined_innocents_are_not(self, monkeypatch):
+        killer = TestWorkerDeath.KILLABLE
+        self._chaos(monkeypatch, kill={"label": killer.describe()})
+
+        async def go():
+            sched = Scheduler(workers=2, executor="process",
+                              retry=FAST_RETRY)
+            await sched.start()
+            poison = await sched.submit(killer)
+            innocents = [await sched.submit(r)
+                         for r in self.INNOCENTS[:4]]
+            await _finish(sched, [poison] + innocents)
+            # one death per kill: the first kill took an innocent
+            # down with it, the isolated re-run named the killer
+            assert sched.counters["worker_deaths"] == 2
+            assert sched.counters["quarantined"] == 1
+            assert poison.response_doc["error"]["error"] == \
+                "PoisonPointError"
+            for job in innocents:
+                assert job.response_doc["status"] == "ok", \
+                    job.response_doc["error"]
+
+        run(go())
+
+    def test_hung_request_times_out_innocents_are_not(self,
+                                                      monkeypatch):
+        hung = EvaluationRequest(workload="fib", passes="localize")
+        self._chaos(monkeypatch, hang={"label": hung.describe(),
+                                       "seconds": 60})
+
+        async def go():
+            sched = Scheduler(
+                workers=2, executor="process", job_timeout=3.0,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.02,
+                                  jitter=0.0))
+            await sched.start()
+            stuck = await sched.submit(hung)
+            innocents = [await sched.submit(r) for r in self.INNOCENTS]
+            await _finish(sched, [stuck] + innocents)
+            for job in innocents:
+                assert job.response_doc["status"] == "ok", \
+                    job.response_doc["error"]
+            assert sched.counters["quarantined"] == 0
+            assert sched.counters["worker_deaths"] == 0
+            assert stuck.response_doc["error"]["error"] == \
+                "SupervisorTimeout"
 
         run(go())
 
