@@ -41,12 +41,11 @@ import random
 import sys
 import time
 
-from repro.core.lanes import have_numpy, numpy_note
 from repro.frontend.translate import translate_module
 from repro.sim.engine import SimParams, simulate, simulate_batch
 from repro.workloads import WORKLOADS
 
-BENCH_SCHEMA = "repro.bench_sim_batch/v1"
+BENCH_SCHEMA = "repro.bench_sim_batch/v2"
 DEFAULT_WORKLOADS = "gemm,fft,saxpy,stencil"
 DEFAULT_BATCHES = "1,4,16"
 DEFAULT_JSON = os.path.join(os.path.dirname(__file__), "results",
@@ -143,10 +142,6 @@ def main(argv=None) -> int:
         ap.error("--batches must name positive integers")
     top = max(batches)
 
-    note = numpy_note()
-    if note:
-        print(note, file=sys.stderr)
-
     rows = []
     failed = []
     for name in args.workloads.split(","):
@@ -183,11 +178,9 @@ def main(argv=None) -> int:
     summary = {
         "batch": top,
         "speedup_geomean": round(geomean(top_speedups), 3),
-        "numpy": have_numpy(),
     }
     print(f"geomean batch-{top} speedup "
-          f"{summary['speedup_geomean']:.2f}x "
-          f"(numpy={'yes' if summary['numpy'] else 'no'})")
+          f"{summary['speedup_geomean']:.2f}x")
     gate = args.min_batch_speedup
     if gate and summary["speedup_geomean"] < gate:
         failed.append(f"geomean batch-{top} speedup "

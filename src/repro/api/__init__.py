@@ -248,7 +248,7 @@ class Pipeline:
         tel = telemetry.tracer()
         with tel.span("pipeline.simulate",
                       kernel=(params.kernel if params
-                              else "event")) as _sp:
+                              else SimParams.kernel)) as _sp:
             self.sim = simulate(self.circuit, memory, list(args),
                                 params)
             _sp.set(cycles=self.sim.cycles)
@@ -411,22 +411,19 @@ def _looks_like_source(text: str) -> bool:
 # served call are the same typed computation.
 
 def sim_wire_dict(params: Optional[SimParams]) -> Dict[str, object]:
-    """A SimParams as a wire-safe ``sim`` dict (non-default fields
-    only, fault plans as JSON).  Raises for host-local callbacks that
-    cannot cross a process boundary."""
+    """A SimParams as a wire-safe ``sim`` dict (fault plans as JSON;
+    :class:`EvaluationRequest` drops the default-valued fields).
+    Raises for host-local callbacks that cannot cross a process
+    boundary."""
     if params is None:
         return {}
     if params.heartbeat is not None or params.heartbeat_cycles:
         raise ReproError(
             "SimParams.heartbeat is host-local and cannot be "
             "serialized into an EvaluationRequest")
-    defaults = SimParams()
-    sim: Dict[str, object] = {}
-    for name in SIM_FIELDS:
-        value = getattr(params, name)
-        if value == getattr(defaults, name):
-            continue
-        sim[name] = value.to_json() if name == "faults" else value
+    sim = {name: getattr(params, name) for name in SIM_FIELDS}
+    if params.faults is not None:
+        sim["faults"] = params.faults.to_json()
     return sim
 
 

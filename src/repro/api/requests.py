@@ -52,6 +52,13 @@ GROUP_FIELDS = ("workload", "source", "variant", "passes", "sim",
                 "check", "seed", "name")
 
 
+def _sim_defaults() -> Dict[str, object]:
+    """:data:`SIM_FIELDS` of a default SimParams, as wire values."""
+    from ..sim import SimParams
+    defaults = SimParams()
+    return {name: getattr(defaults, name) for name in SIM_FIELDS}
+
+
 def _digest(doc: Dict) -> str:
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                          default=str)
@@ -95,6 +102,10 @@ class EvaluationRequest:
             raise ReproError(
                 f"unknown sim field(s) {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(SIM_FIELDS)}")
+        # A default written out is the same computation as one left
+        # out, so it must not change the request's identity.
+        defaults = _sim_defaults()
+        sim = {k: v for k, v in sim.items() if v != defaults[k]}
         object.__setattr__(self, "sim", sim)
         object.__setattr__(self, "passes", self.passes or "")
         if self.args is not None:

@@ -265,11 +265,6 @@ def cmd_simulate(args) -> int:
 def _print_batch(args, pipe, batch, t_sim: float) -> int:
     """Report a request-path batched simulate (lanes already verified
     by ``run_request``; a diverging lane raised)."""
-    from .core.lanes import numpy_note
-
-    note = numpy_note()
-    if note:
-        print(f"note: {note}", file=sys.stderr)
     ok = True
     for i in range(batch.lanes):
         if batch.errors[i] is not None:
@@ -327,8 +322,6 @@ def _simulate_batched(args, module, circuit, values, golden,
     import time
     from dataclasses import replace as _replace
 
-    from .core.lanes import numpy_note
-
     n = args.batch
     lanes = []
     for _ in range(n):
@@ -339,9 +332,6 @@ def _simulate_batched(args, module, circuit, values, golden,
     batch = simulate_batch(circuit, lanes, [list(values)] * n,
                            _replace(params, batch=n))
     t_sim = time.perf_counter() - t_sim
-    note = numpy_note()
-    if note:
-        print(f"note: {note}", file=sys.stderr)
     ok = True
     for i in range(n):
         if batch.errors[i] is not None:
@@ -410,11 +400,7 @@ def cmd_bench(args) -> int:
         import time
 
         from .api import Pipeline
-        from .core.lanes import numpy_note
 
-        note = numpy_note()
-        if note:
-            print(f"note: {note}", file=sys.stderr)
         pipe = Pipeline(args.workload, variant=args.variant)
         pipe.optimize(args.passes or None)
         t0 = time.perf_counter()
@@ -592,7 +578,8 @@ def cmd_fuzz(args) -> int:
     passes_from_spec(spec)  # fail fast on a typo, before simulating
     fuzzer = ConformanceFuzzer(
         pass_spec=spec, differential=args.differential,
-        artifacts_dir=args.artifacts_dir, kernel=args.kernel,
+        artifacts_dir=args.artifacts_dir,
+        kernel=args.kernel or SimParams.kernel,
         compare_kernel=args.compare_kernel,
         max_cycles=args.max_cycles, wallclock_timeout=args.timeout,
         minimize=not args.no_minimize, batch=args.batch)
@@ -912,7 +899,7 @@ def cmd_client_explore(args) -> int:
         raise ReproError(
             "client explore needs at least one --grid AXIS=V1,V2,...")
     sim = {}
-    if args.kernel != "event":
+    if args.kernel != SimParams.kernel:
         sim["kernel"] = args.kernel
     if args.max_cycles != 5_000_000:
         sim["max_cycles"] = args.max_cycles
@@ -1020,10 +1007,10 @@ def build_parser() -> argparse.ArgumentParser:
     variant_flags.add_argument("--variant", default="base",
                                help="workload source variant")
     kernel_flags = argparse.ArgumentParser(add_help=False)
-    kernel_flags.add_argument("--kernel", default="event",
+    kernel_flags.add_argument("--kernel", default=SimParams.kernel,
                               choices=("event", "dense", "compiled"),
                               help="simulation kernel "
-                                   "(default: event)")
+                                   f"(default: {SimParams.kernel})")
     batch_flags = argparse.ArgumentParser(add_help=False)
     batch_flags.add_argument(
         "--batch", type=int, default=None, metavar="N",
@@ -1114,9 +1101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="seed array contents pseudo-randomly")
     p.add_argument("--no-kernel-fallback", action="store_true",
-                   help="with --kernel compiled, raise (exit code 10) "
-                        "instead of falling back to the event kernel "
-                        "when compilation fails")
+                   help="with the compiled kernel, raise (exit code "
+                        "10) instead of falling back to the event "
+                        "kernel when compilation fails")
     p.add_argument("--profile", action="store_true",
                    help="print throughput, per-pass timing and "
                         "stall attribution")
@@ -1260,10 +1247,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser(
-        "fuzz", parents=[kernel_flags, limit_flags],
+        "fuzz", parents=[limit_flags],
         help="LI-conformance fuzzing under seeded fault plans")
     # fuzz defaults a shorter cycle budget than the other commands.
     p.set_defaults(max_cycles=2_000_000)
+    # Its own --kernel, unset by default, so a replay can tell it was
+    # not given.
+    p.add_argument("--kernel", default=None,
+                   choices=("event", "dense", "compiled"),
+                   help=f"kernel under test (default: {SimParams.kernel};"
+                        " --replay defaults to the kernel the bundle "
+                        "records)")
     p.add_argument("--workloads", default="all",
                    help="comma-separated workload names (default: all)")
     p.add_argument("--plans", type=int, default=5, metavar="N",
@@ -1283,9 +1277,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write replayable repro bundles for failures")
     p.add_argument("--compare-kernel", default=None,
                    choices=("event", "dense", "compiled"),
-                   help="also run every case on this kernel and "
-                        "require bit-identical behavior including "
-                        "cycle counts")
+                   help="also run every case on this kernel (not "
+                        "--kernel itself) and require bit-identical "
+                        "behavior including cycle counts")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the fuzz report JSON here")
     p.add_argument("--no-minimize", action="store_true",

@@ -26,38 +26,27 @@ without the speedup).
 Equivalence argument (DESIGN.md §9): every control decision in a
 batched run is made on a value checked to be identical to the value
 each lane's independent run would see; payload computation applies
-the identical scalar evaluator per lane (or a bit-exact vectorized
-twin); therefore the cycle-by-cycle schedule and every lane's results
-and memory image match N independent runs exactly.
+the identical scalar evaluator per lane; therefore the cycle-by-cycle
+schedule and every lane's results and memory image match N
+independent runs exactly.
 
-numpy is optional (the ``[batch]`` extra): when importable, lane
-vectors for statically-safe operations (int add/sub/mul/and/or/xor at
-width <= 32, where int64 intermediates are exact, and IEEE-identical
-float64 fadd/fsub/fmul) are evaluated as numpy arrays; everything
-else — and every environment without numpy — uses the list-of-lanes
-loop, which is the definitionally-correct backend.  Set
-``REPRO_BATCH_NO_NUMPY=1`` to force the list backend.
+Lane math is one list-of-lanes loop.  An optional array-library
+backend was measured and removed (DESIGN.md §9): it was no faster at
+batch 16 or 64, and importing it grew each process by 10-14 MB.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..errors import LaneDivergence
-from ..types import FloatType, IntType
 
 __all__ = [
-    "BatchContext", "LaneImage", "LaneValues", "ctrl", "have_numpy",
+    "BatchContext", "LaneImage", "LaneValues", "ctrl",
     "lane_fingerprint", "lane_lift_list", "lane_lift_pos",
     "lane_pack_words", "lane_row", "lane_select", "lane_unpack_words",
-    "numpy_note", "vector_key", "vector_fn",
 ]
-
-#: Below this lane count the numpy round-trip costs more than the
-#: list loop it replaces.
-NUMPY_MIN_LANES = 8
 
 
 class BatchContext:
@@ -256,120 +245,16 @@ def lane_fingerprint(args: Sequence, words: Sequence) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Lane-lifted evaluators (compiled kernel) + optional numpy backend.
+# Lane-lifted evaluators (compiled kernel).
 # ---------------------------------------------------------------------------
 
-_np = None
-_np_checked = False
 
-
-def _numpy():
-    """Lazy, env-gated numpy import (never at module import time: the
-    tier-1 suite and the scalar kernels must not depend on it)."""
-    global _np, _np_checked
-    if os.environ.get("REPRO_BATCH_NO_NUMPY") == "1":
-        return None
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy
-            _np = numpy
-        except ImportError:
-            _np = None
-    return _np
-
-
-def have_numpy() -> bool:
-    return _numpy() is not None
-
-
-def numpy_note() -> Optional[str]:
-    """One-line capability note for the CLI when numpy is absent."""
-    if _numpy() is not None:
-        return None
-    return ("note: numpy not available - batched lanes use the "
-            "pure-Python list backend (install the [batch] extra "
-            "for the vectorized fast path)")
-
-
-#: Ops whose int64 evaluation is exact for wrapped width<=32 operands
-#: (|a|,|b| < 2^31 so even a*b < 2^62) and bit-equal to the scalar
-#: wrap; division/shifts are excluded (C-style semantics differ).
-_NP_INT_OPS = ("add", "sub", "mul", "and", "or", "xor")
-#: float64 maps 1:1 onto Python floats, so these are IEEE-identical.
-_NP_FLOAT_OPS = ("fadd", "fsub", "fmul")
-
-
-def vector_key(op: str, result_type):
-    """Compile-time tag of a statically numpy-safe (op, type) combo;
-    None marks everything that must stay on the scalar-per-lane loop.
-    Computed at circuit-compile time so cached plans carry it."""
-    if isinstance(result_type, IntType) and result_type.width <= 32 \
-            and op in _NP_INT_OPS:
-        return ("int", op, result_type.width, result_type.signed)
-    if isinstance(result_type, FloatType) and op in _NP_FLOAT_OPS:
-        return ("float", op)
-    return None
-
-
-def vector_fn(vkey):
-    """Vectorized lane evaluator for a :func:`vector_key` tag.
-
-    Returns ``vf(lanes_a, lanes_b) -> list | None`` (None = operands
-    not eligible at runtime, caller falls back to the list loop), or
-    None when numpy is unavailable.
-    """
-    np = _numpy()
-    if np is None or vkey is None:
-        return None
-    if vkey[0] == "int":
-        _, op, width, signed = vkey
-        mask = (1 << width) - 1
-        sign_bit = 1 << (width - 1)
-        span = 1 << width
-        npop = {"add": np.add, "sub": np.subtract,
-                "mul": np.multiply, "and": np.bitwise_and,
-                "or": np.bitwise_or, "xor": np.bitwise_xor}[op]
-
-        def vf(la, lb):
-            for x in la:
-                if x.__class__ is not int:
-                    return None
-            for x in lb:
-                if x.__class__ is not int:
-                    return None
-            r = npop(np.array(la, dtype=np.int64),
-                     np.array(lb, dtype=np.int64)) & mask
-            if signed:
-                r = np.where(r >= sign_bit, r - span, r)
-            return r.tolist()
-
-        return vf
-    _, op = vkey
-    npop = {"fadd": np.add, "fsub": np.subtract,
-            "fmul": np.multiply}[op]
-
-    def vf(la, lb):
-        for x in la:
-            if x.__class__ is not float:
-                return None
-        for x in lb:
-            if x.__class__ is not float:
-                return None
-        return npop(np.array(la, dtype=np.float64),
-                    np.array(lb, dtype=np.float64)).tolist()
-
-    return vf
-
-
-def lane_lift_pos(arity: int, f, vkey=None):
+def lane_lift_pos(arity: int, f):
     """Lane-lifted twin of a positional evaluator from
     :func:`repro.core.semantics.specialize_compute_pos`.
 
     Scalar operands take the original fast path untouched; any
-    LaneValues operand broadcasts the scalars and maps ``f`` per lane
-    (or dispatches to the numpy backend when the op is statically safe
-    and the lane count clears :data:`NUMPY_MIN_LANES`).
+    LaneValues operand broadcasts the scalars and maps ``f`` per lane.
     """
     if arity == 1:
         def lifted(a):
@@ -378,8 +263,6 @@ def lane_lift_pos(arity: int, f, vkey=None):
             return f(a)
         return lifted
     if arity == 2:
-        vf = vector_fn(vkey)
-
         def lifted(a, b):
             av = type(a) is LaneValues
             bv = type(b) is LaneValues
@@ -393,10 +276,6 @@ def lane_lift_pos(arity: int, f, vkey=None):
             else:
                 lb = b.lanes
                 la = [a] * len(lb)
-            if vf is not None and len(la) >= NUMPY_MIN_LANES:
-                out = vf(la, lb)
-                if out is not None:
-                    return LaneValues(out)
             return LaneValues([f(x, y) for x, y in zip(la, lb)])
         return lifted
 

@@ -310,10 +310,12 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
 
     Batched evaluation: every payload in the group maps to the *same*
     canonical circuit (pass spec fixed, only ``sim.*`` axes vary), so
-    the front-end — MiniC -> uIR -> uopt -> canonicalization ->
-    compiled-kernel specialization — runs ONCE for the whole group and
-    per-point cost reduces to simulation + synthesis.  Single-point
-    groups behave exactly like the old per-point worker.
+    the front-end — MiniC -> uIR -> uopt -> canonicalization — runs
+    ONCE for the whole group, and so does compiled-kernel
+    specialization, at the first point that is simulated (a group the
+    result cache answers compiles nothing).  Per-point cost reduces to
+    simulation + synthesis.  Single-point groups behave exactly like
+    the old per-point worker.
 
     Returns one plain dict per payload (never raises): ``{"index",
     "ok", "source", "key", "fingerprint", "doc" | "error", "wall_s"}``.
@@ -331,6 +333,7 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
         from ..api import Pipeline
         from ..core.serialize import canonical_circuit, \
             circuit_fingerprint
+        from ..sim.compile import precompile
 
         w = get_workload(first["workload"])
         variant = first["variant"]
@@ -340,12 +343,6 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
         pipe.optimize(first["pass_spec"])
         canon = canonical_circuit(pipe.circuit)
         fingerprint = circuit_fingerprint(canon)
-        if any(p["sim"].get("kernel") == "compiled" for p in payloads):
-            # Seed the compiled-artifact cache under the canonical
-            # fingerprint we already paid for, so simulate() reuses it
-            # instead of re-fingerprinting the circuit.
-            from ..sim.compile import precompile
-            precompile(canon, fingerprint)
     except ReproError as exc:
         doc = error_document(exc)
         doc["family"] = family_for(exc)
@@ -381,6 +378,10 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
             params = SimParams(
                 wallclock_timeout=payload.get("wallclock_timeout"),
                 **payload["sim"])
+            if params.kernel == "compiled":
+                # Compiled once per group, at its first simulated
+                # point, under the fingerprint we already paid for.
+                precompile(canon, fingerprint)
             run = Pipeline.from_circuit(canon, workload=w,
                                         variant=variant)
             run.pass_spec = payload["pass_spec"]

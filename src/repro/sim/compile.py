@@ -42,7 +42,8 @@ not once per invocation:
   canonical circuit fingerprint (:func:`repro.core.serialize.
   circuit_fingerprint`), with an identity memo so repeat simulations
   of the same circuit object (a fuzzer running N fault plans, a DSE
-  worker sweeping sim-axes) skip even the fingerprint hash.
+  worker sweeping sim-axes) skip even the fingerprint hash.  DSE
+  groups compile into the memo alone (:func:`precompile`).
 * **bind** (:meth:`CompiledTask.bind`) — per instance, close each
   binder over that instance's freshly constructed channels, forks and
   fault-adjusted latencies.  Spawn-heavy workloads create thousands
@@ -69,7 +70,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.lanes import (ctrl, lane_lift_list, lane_lift_pos,
                           lane_pack_words, lane_select,
-                          lane_unpack_words, vector_key)
+                          lane_unpack_words)
 from ..core.semantics import (poison_value, specialize_compute,
                               specialize_compute_pos)
 from ..core.serialize import circuit_fingerprint
@@ -218,9 +219,9 @@ def _bind_compute(sim, inst, data):
     In a batched runtime the evaluators are swapped for lane-lifted
     twins at bind time; the scalar closures below are byte-identical
     either way, so the single-instance compiled kernel pays nothing."""
-    arity, fpos, flist, vkey = data
+    arity, fpos, flist = data
     if inst.runtime.batch is not None:
-        fpos = lane_lift_pos(arity, fpos, vkey)
+        fpos = lane_lift_pos(arity, fpos)
         flist = lane_lift_list(flist)
     chans = sim.in_chans
     if chans is None:
@@ -1373,15 +1374,11 @@ def _bind_sync(sim, inst, data):
 # ---------------------------------------------------------------------------
 
 def _compile_compute(node):
-    """(arity, positional evaluator, list evaluator, vector key) for
-    one FU.  The vector key is compile-time data: it names the numpy
-    fast path a batched bind may use for this (op, type) pair, or
-    ``None`` when only the per-lane scalar loop is exact."""
+    """(arity, positional evaluator, list evaluator) for one FU."""
     scale = node.gep_scale if node.op == "gep" else 1
     arity, fpos = specialize_compute_pos(node.op, node.out.type, scale)
     return (arity, fpos,
-            specialize_compute(node.op, node.out.type, scale),
-            vector_key(node.op, node.out.type))
+            specialize_compute(node.op, node.out.type, scale))
 
 
 def _compile_fused(node):
@@ -1592,9 +1589,16 @@ def compiled_for(circuit,
     return compiled
 
 
-def precompile(circuit, fingerprint: Optional[str] = None
-               ) -> CompiledCircuit:
-    """Seed the compile cache (DSE workers pass the fingerprint they
-    already computed for the content-addressed result cache, so the
-    later ``simulate`` call is a pure cache hit)."""
-    return compiled_for(circuit, fingerprint)
+def precompile(circuit, fingerprint: str = "") -> CompiledCircuit:
+    """Compile ``circuit`` into the identity memo alone (``simulate``
+    on this object is then a pure memo hit), not the fingerprint
+    cache: the artifact lives as long as the circuit, and the caller's
+    compile work never depends on what the process compiled before.
+    DSE workers pass the fingerprint they already computed."""
+    compiled = _BY_OBJECT.get(circuit)
+    if compiled is None:
+        from .. import telemetry
+        telemetry.metrics().counter("sim.compile.compiles").inc()
+        compiled = _BY_OBJECT[circuit] = CompiledCircuit(circuit,
+                                                         fingerprint)
+    return compiled

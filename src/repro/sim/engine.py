@@ -3,16 +3,8 @@
 Three kernels produce bit-identical results (same ``SimResult.cycles``,
 same memory image, same outputs):
 
-* ``kernel="event"`` (default) — wakeup-driven: only components with a
-  pending wake are touched each cycle (see :mod:`repro.sim.events` and
-  the instance-level machinery in :mod:`repro.sim.task`), and the
-  memory system is skipped entirely while idle.  Typically several
-  times faster than the dense sweep on memory-bound circuits.
-* ``kernel="dense"`` — the original reference loop that sweeps every
-  node of every active instance every cycle.  Kept as the equivalence
-  oracle and for debugging the event kernel itself.
-* ``kernel="compiled"`` — the event kernel's scheduler driving
-  per-node step closures specialized once per circuit
+* ``kernel="compiled"`` (default) — the event kernel's scheduler
+  driving per-node step closures specialized once per circuit
   (:mod:`repro.sim.compile`): no per-tick ``isinstance``/attribute
   dispatch on the hot path.  Compiled artifacts are cached per
   canonical circuit fingerprint, so DSE workers and the fuzzer pay
@@ -20,6 +12,15 @@ same memory image, same outputs):
   specialized, ``SimParams.compile_fallback`` selects between a
   warning + event-kernel run (default) and raising
   :class:`repro.errors.KernelCompileError`.
+* ``kernel="event"`` — wakeup-driven: only components with a pending
+  wake are touched each cycle (see :mod:`repro.sim.events` and the
+  instance-level machinery in :mod:`repro.sim.task`), and the memory
+  system is skipped entirely while idle.  Typically several times
+  faster than the dense sweep on memory-bound circuits.  The
+  interpreted reference for the compiled kernel.
+* ``kernel="dense"`` — the original reference loop that sweeps every
+  node of every active instance every cycle.  Kept as the equivalence
+  oracle and for debugging the event kernel itself.
 
 The event kernel also powers the observability layer
 (:mod:`repro.sim.observe`): stall attribution per node/cause and an
@@ -64,9 +65,10 @@ class SimParams:
     #: Queue depth used for decoupled (<||deep>) task edges.
     decoupled_queue_depth: int = 64
     validate: bool = True
-    #: "event" (wakeup-driven, default), "dense" (reference sweep) or
-    #: "compiled" (event scheduler + specialized step closures).
-    kernel: str = "event"
+    #: "compiled" (event scheduler + specialized step closures,
+    #: default), "event" (wakeup-driven reference) or "dense"
+    #: (reference sweep).
+    kernel: str = "compiled"
     #: kernel="compiled" only: when the circuit cannot be specialized,
     #: True (default) downgrades to a warning + event-kernel run;
     #: False raises :class:`repro.errors.KernelCompileError`.
@@ -373,7 +375,7 @@ def simulate(circuit: AcceleratorCircuit, memory, args: Sequence = (),
         return Simulator(circuit, memory, params).run(args)
     with telemetry.tracer().span(
             "sim.run", category="sim", circuit=circuit.name,
-            kernel=(params.kernel if params else "event")) as sp:
+            kernel=(params.kernel if params else SimParams.kernel)) as sp:
         result = Simulator(circuit, memory, params).run(args)
         sp.set(cycles=result.cycles)
         from ..core.serialize import circuit_fingerprint

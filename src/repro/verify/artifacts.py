@@ -4,8 +4,9 @@ A bundle is one directory holding everything needed to re-run a failed
 fuzz case offline, long after the fuzz run that produced it:
 
 ``manifest.json``
-    Schema, workload/variant/pass stack, fault mode, the minimized
-    fault categories, and the replay command.
+    Schema, workload/variant/pass stack, fault mode, the kernel the
+    case ran on (and, in mode "kernel", the one it was compared
+    with), the minimized fault categories, and the replay command.
 ``fault_plan.json``
     The (minimized) :class:`repro.sim.faults.FaultPlan` — knobs + seed
     only; every per-site decision re-derives from stable hashes.
@@ -46,11 +47,13 @@ def _dump(path: str, doc) -> None:
 
 
 def write_bundle(directory: str, case_id: str, *, workload: str,
-                 variant: str, pass_spec: str, mode: str,
-                 plan: FaultPlan, original_plan: Optional[FaultPlan] = None,
+                 variant: str, pass_spec: str, mode: str, kernel: str,
+                 plan: FaultPlan, compare_kernel: Optional[str] = None,
+                 original_plan: Optional[FaultPlan] = None,
                  circuit=None, error: Optional[BaseException] = None,
                  detail: Optional[dict] = None) -> str:
-    """Write one repro bundle; returns the bundle directory path."""
+    """Write one repro bundle; returns the bundle directory path.
+    A replay runs on the kernels recorded here unless told otherwise."""
     bundle = os.path.join(directory, case_id)
     n = 1
     while os.path.exists(bundle):
@@ -66,9 +69,12 @@ def write_bundle(directory: str, case_id: str, *, workload: str,
         "variant": variant,
         "passes": pass_spec,
         "mode": mode,
+        "kernel": kernel,
         "categories": plan.active_categories(),
         "replay": replay,
     }
+    if mode == "kernel":
+        manifest["compare_kernel"] = compare_kernel
     _dump(os.path.join(bundle, "fault_plan.json"), plan.to_json())
     if original_plan is not None and original_plan != plan:
         _dump(os.path.join(bundle, "original_plan.json"),
@@ -97,6 +103,8 @@ def write_bundle(directory: str, case_id: str, *, workload: str,
         f"  workload : {workload} (variant {variant})",
         f"  passes   : {pass_spec or '(none)'}",
         f"  mode     : {mode}",
+        f"  kernel   : {kernel}"
+        + (f" vs {compare_kernel}" if mode == "kernel" else ""),
         f"  faults   : {plan.describe()}",
         "",
         "Replay with:",

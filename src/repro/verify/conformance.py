@@ -203,6 +203,10 @@ class ConformanceFuzzer:
                  wallclock_timeout: Optional[float] = None,
                  deadlock_window: int = 4_000, minimize: bool = True,
                  batch: bool = False):
+        if compare_kernel == kernel:
+            raise ReproError(
+                f"compare kernel {compare_kernel!r} is the kernel under "
+                f"test; compare against a different kernel")
         self.pass_spec = pass_spec
         self.differential = differential
         self.artifacts_dir = artifacts_dir
@@ -322,7 +326,9 @@ class ConformanceFuzzer:
             case.bundle = write_bundle(
                 self.artifacts_dir, case.case_id,
                 workload=workload, variant=variant, pass_spec=spec,
-                mode=mode, plan=case.plan, original_plan=original,
+                mode=mode, kernel=self.kernel,
+                compare_kernel=self.compare_kernel,
+                plan=case.plan, original_plan=original,
                 circuit=self._circuit(workload, variant, spec),
                 error=case.last_exc, detail=case.last_detail)
         return case
@@ -485,14 +491,18 @@ class ConformanceFuzzer:
                         progress(case)
 
 
-def replay_bundle(path: str, kernel: str = "event",
+def replay_bundle(path: str, kernel: Optional[str] = None,
                   max_cycles: int = 2_000_000) -> CaseResult:
-    """Re-run the case captured in a repro bundle directory."""
+    """Re-run the case captured in a repro bundle directory, on the
+    kernel it was found on unless ``kernel`` overrides it (bundles
+    that predate the ``kernel`` field ran on ``event``)."""
     from .artifacts import load_bundle
     manifest = load_bundle(path)
-    fuzzer = ConformanceFuzzer(pass_spec=manifest.get("passes", ""),
-                               kernel=kernel, max_cycles=max_cycles,
-                               minimize=False)
+    fuzzer = ConformanceFuzzer(
+        pass_spec=manifest.get("passes", ""),
+        kernel=kernel or manifest.get("kernel", "event"),
+        compare_kernel=manifest.get("compare_kernel"),
+        max_cycles=max_cycles, minimize=False)
     return fuzzer.run_case(manifest["workload"], manifest["plan"],
                            variant=manifest.get("variant", "base"),
                            mode=manifest.get("mode", "fault"))

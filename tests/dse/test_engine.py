@@ -78,6 +78,77 @@ class TestExploreSerial:
                 workers=1, cache=None, progress=seen.append)
         assert [p.index for p in seen] == [0]
 
+    @pytest.fixture
+    def fingerprint_calls(self, monkeypatch):
+        """Names of circuits the compile cache had to hash itself."""
+        import repro.sim.compile as compile_mod
+        calls = []
+
+        def counting(circuit):
+            calls.append(circuit.name)
+            return "unexpected"
+
+        compile_mod.clear_cache()
+        monkeypatch.setattr(compile_mod, "circuit_fingerprint", counting)
+        return calls
+
+    SPACE = GridSpace({"banks": [1, 2],
+                       "sim.loop_invocation_window": [1, 2]})
+
+    def test_default_kernel_reuses_the_sweep_fingerprint(
+            self, fingerprint_calls):
+        # A sweep naming no kernel runs the compiled default, and each
+        # group compiles with the fingerprint the sweep already
+        # computed, so simulate() never hashes the circuit.
+        report = explore("saxpy", self.SPACE, pipeline=TEMPLATE,
+                         workers=1, cache=None)
+        assert report.counts["ok"] == 4
+        assert [p.stats["kernel"] for p in report.points] == \
+            ["compiled"] * 4
+        assert fingerprint_calls == []
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Names of circuits the compiled kernel specialized."""
+        import repro.sim.compile as compile_mod
+        names = []
+
+        class Counting(compile_mod.CompiledCircuit):
+            __slots__ = ()
+
+            def __init__(self, circuit, fingerprint=""):
+                names.append(circuit.name)
+                super().__init__(circuit, fingerprint)
+
+        compile_mod.clear_cache()
+        monkeypatch.setattr(compile_mod, "CompiledCircuit", Counting)
+        return names
+
+    def test_repeat_sweep_compiles_the_same_circuits(self, compiles):
+        # A group's compiled artifact belongs to the group, not the
+        # process, so a sweep does the same compile work whatever ran
+        # before it.
+        explore("saxpy", self.SPACE, pipeline=TEMPLATE, workers=1,
+                cache=None)
+        first = list(compiles)
+        del compiles[:]
+        explore("saxpy", self.SPACE, pipeline=TEMPLATE, workers=1,
+                cache=None)
+        assert len(first) == 2          # one per pass spec
+        assert compiles == first
+
+    def test_equal_circuits_in_one_sweep_compile_once(self, tmp_path,
+                                                       compiles):
+        # Two pass specs, one canonical circuit: the second group is
+        # answered by the result cache before it compiles anything.
+        report = explore("saxpy",
+                         GridSpace({"spec": ["localize",
+                                             "localize,banking=1"]}),
+                         pipeline="{spec}", workers=1,
+                         cache=str(tmp_path / "cache"))
+        assert [p.cached for p in report.points] == [False, True]
+        assert len(compiles) == 1
+
     def test_validation_errors(self):
         space = GridSpace({"banks": [1]})
         with pytest.raises(ReproError, match="unknown objective"):

@@ -141,6 +141,16 @@ class TestIdentityKeys:
                               sim={"kernel": "dense"})
         assert a.group_key() != b.group_key()
 
+    def test_default_written_out_shares_identity(self):
+        # The default kernel spelled out is the same computation as
+        # leaving it out: one dedup key and one lane-group.
+        a = EvaluationRequest(workload="fib", sim={})
+        b = EvaluationRequest(workload="fib",
+                              sim={"kernel": "compiled"})
+        assert a.canonical_key() == b.canonical_key()
+        assert a.group_key() == b.group_key()
+        assert b.to_json()["sim"] == {}
+
 
 class TestCoalescible:
     def test_plain_scalar_is_coalescible(self):

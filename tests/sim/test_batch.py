@@ -5,17 +5,18 @@ results and memory bit-identical to N independent event-kernel runs —
 plus its own machinery: uniform-control vectorization with deopt on
 lane-divergent control, the enforced scalar fallback under fault
 plans, per-lane failure isolation with batch-aware error documents,
-and a numpy fast path that must agree bit-for-bit with the pure-Python
-lane loop.
+and lane math that stays one pure-Python loop (no array library).
 """
 
 import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from repro.core.lanes import (LaneValues, have_numpy, lane_fingerprint,
-                              numpy_note)
+from repro.core.lanes import LaneValues, lane_fingerprint
 from repro.errors import LaneDivergence
 from repro.frontend import compile_minic, translate_module
 from repro.frontend.interp import Memory
@@ -62,7 +63,8 @@ def _check_identity(name: str, n: int, kernel: str = "compiled",
     for mem in lanes:
         ref_mem = w.fresh_memory()
         ref_mem.words[:] = mem.words
-        result = simulate(circuit, ref_mem, args, SimParams())
+        result = simulate(circuit, ref_mem, args,
+                          SimParams(kernel="event"))
         refs.append((result.cycles, list(result.results),
                      list(ref_mem.words)))
     batch = simulate_batch(circuit, lanes, [args] * n,
@@ -93,23 +95,42 @@ class TestLaneIdentity:
     def test_single_lane_goes_sequential(self):
         _check_identity("saxpy", 1, expect_mode="sequential")
 
-    @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
-    def test_numpy_and_pure_python_agree(self, monkeypatch):
-        # Above the lane threshold the numpy fast path engages; with
-        # the escape hatch set, the same run uses the list loop.  Both
-        # must match the independent scalar runs bit-for-bit, which
-        # _check_identity asserts.
-        _check_identity("gemm", 12)
-        monkeypatch.setenv("REPRO_BATCH_NO_NUMPY", "1")
-        assert not have_numpy()
+    def test_twelve_lane_gemm_matches_independent_runs(self):
         _check_identity("gemm", 12)
 
-    def test_capability_note(self, monkeypatch):
-        if have_numpy():
-            assert numpy_note() is None
-        monkeypatch.setenv("REPRO_BATCH_NO_NUMPY", "1")
-        note = numpy_note()
-        assert note is not None and "numpy" in note
+    def test_lane_math_never_imports_numpy(self):
+        # A 16-lane compiled batch runs in a fresh interpreter:
+        # importing an array library there would grow every daemon
+        # worker by 10-14 MB, so the lane loop must not pull one in.
+        code = textwrap.dedent("""
+            import random, sys
+            from repro.frontend import translate_module
+            from repro.sim import SimParams, simulate_batch
+            from repro.workloads import WORKLOADS
+            w = WORKLOADS["gemm"]
+            circuit = translate_module(w.module(), name="gemm_batch")
+            rng = random.Random(7)
+            lanes = []
+            for _ in range(16):
+                mem = w.fresh_memory()
+                for i, v in enumerate(mem.words):
+                    if type(v) is float and rng.random() < 0.4:
+                        mem.words[i] = float(rng.randrange(-50, 50))
+                lanes.append(mem)
+            batch = simulate_batch(circuit, lanes,
+                                   [list(w.args_for())] * 16,
+                                   SimParams(kernel="compiled",
+                                             batch=16))
+            assert batch.ok and batch.mode == "vectorized", batch.mode
+            print("numpy" in sys.modules)
+        """)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestControlDivergence:
@@ -133,7 +154,7 @@ func main(n: i32) {
         refs = []
         for a in args_lanes:
             mem = Memory(module)
-            result = simulate(circuit, mem, a, SimParams())
+            result = simulate(circuit, mem, a, SimParams(kernel="event"))
             refs.append((result.cycles, list(mem.words)))
         lanes = [Memory(module) for _ in args_lanes]
         batch = simulate_batch(circuit, lanes, args_lanes,

@@ -12,6 +12,7 @@ from repro import (
     synthesize,
     translate_module,
 )
+from repro.api import EvaluationRequest, execute, run_request
 from repro.errors import ReproError
 from repro.frontend.interp import Memory
 from repro.opt import parse_passes
@@ -85,7 +86,7 @@ class TestChain:
         assert ev.passes == ""
         assert ev.cycles > 0
         assert ev.time_us == ev.cycles / ev.synth.fpga_mhz
-        assert ev.stats.kernel in ("event", "dense")
+        assert ev.stats.kernel == "compiled"
         assert "cyc" in repr(ev)
 
     def test_to_json(self):
@@ -153,3 +154,21 @@ class TestEvaluateConvenience:
             "memory_localization,scratchpad_banking=4"
         baseline = evaluate("saxpy")
         assert ev.cycles < baseline.cycles
+
+
+class TestDefaultKernel:
+    @pytest.mark.parametrize("workload,passes", [
+        ("fib", ""), ("saxpy", "localize,banking=4,fusion,tuning")])
+    def test_default_is_compiled_and_matches_event(self, workload,
+                                                   passes):
+        default = EvaluationRequest(workload=workload, passes=passes)
+        event = EvaluationRequest(workload=workload, passes=passes,
+                                  sim={"kernel": "event"})
+        a, b = execute(default), execute(event)
+        assert a.ok and b.ok
+        assert a.evaluation == b.evaluation
+        doc_a = run_request(default)[1].stats.to_json()
+        doc_b = run_request(event)[1].stats.to_json()
+        assert doc_a.pop("kernel") == "compiled"
+        assert doc_b.pop("kernel") == "event"
+        assert doc_a == doc_b

@@ -248,6 +248,15 @@ class TestFuzzCommand:
                      "--passes", "warp"]) == 2
         assert "unknown pass" in capsys.readouterr().err
 
+    def test_fuzz_kernel_compared_with_itself_is_a_usage_error(
+            self, capsys):
+        # Comparing a kernel with itself would pass without checking
+        # anything, so it is refused before any case runs.
+        assert main(["fuzz", "--workloads", "fib", "--plans", "1",
+                     "--passes", "", "--kernel", "compiled",
+                     "--compare-kernel", "compiled"]) == 2
+        assert "compare kernel 'compiled'" in capsys.readouterr().err
+
     def test_fuzz_unknown_workload(self, capsys):
         assert main(["fuzz", "--workloads", "nope", "--plans", "1",
                      "--passes", ""]) == 5

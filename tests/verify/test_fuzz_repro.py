@@ -13,6 +13,7 @@ from repro.errors import exit_code_for
 from repro.sim.faults import FaultPlan
 from repro.verify import (ConformanceFuzzer, load_bundle,
                           replay_bundle)
+from repro.verify.artifacts import write_bundle
 
 #: A plan whose only fault is a permanent credit withhold from cycle
 #: 60 on: the canonical forced-deadlock fault.
@@ -80,6 +81,41 @@ class TestForcedFault:
         rc = main(["fuzz", "--replay", failing_case.bundle])
         assert rc == 4
         assert "DeadlockError" in capsys.readouterr().out
+
+
+@pytest.fixture
+def kernels_run(monkeypatch):
+    """The kernel of every simulation the fuzzer sets up."""
+    kernels = []
+    params = ConformanceFuzzer._params
+
+    def spy(self, plan, kernel=None):
+        got = params(self, plan, kernel)
+        kernels.append(got.kernel)
+        return got
+
+    monkeypatch.setattr(ConformanceFuzzer, "_params", spy)
+    return kernels
+
+
+class TestReplayKernel:
+    def test_cli_replay_runs_the_recorded_kernel(self, failing_case,
+                                                 kernels_run, capsys):
+        # Found on the event kernel: a replay without --kernel must
+        # not move to the CLI default.
+        assert load_bundle(failing_case.bundle)["kernel"] == "event"
+        assert main(["fuzz", "--replay", failing_case.bundle]) == 4
+        assert set(kernels_run) == {"event"}
+
+    def test_kernel_mode_replay_compares_the_recorded_kernels(
+            self, tmp_path, kernels_run):
+        bundle = write_bundle(str(tmp_path), "case", workload="fib",
+                              variant="base", pass_spec="",
+                              mode="kernel", kernel="event",
+                              compare_kernel="compiled",
+                              plan=FaultPlan(seed=1))
+        assert replay_bundle(bundle).ok
+        assert set(kernels_run) == {"event", "compiled"}
 
 
 class TestReproducibility:
