@@ -197,6 +197,24 @@ class Pipeline:
         pipe.verified = None
         return pipe
 
+    def fork(self) -> "Pipeline":
+        """A fresh Pipeline over this one's front end.
+
+        The module, circuit and pass log are shared, so a front end
+        built once (:func:`build_front`) serves many evaluations and
+        keeps the compiled kernel's identity memo warm; result state
+        (sim, memory, synth) starts empty, so nothing leaks between
+        evaluations.  The serve worker's LRU and DSE groups run every
+        evaluation on a fork.
+        """
+        pipe = Pipeline.from_circuit(self.circuit, workload=self.workload,
+                                     variant=self.variant)
+        pipe.module = self.module
+        pipe.name = self.name
+        pipe.pass_log = list(self.pass_log)
+        pipe.pass_spec = self.pass_spec
+        return pipe
+
     # -- stage 2: uopt ---------------------------------------------------
     def optimize(self, passes=None, *, validate: bool = True,
                  validate_each: bool = False) -> "Pipeline":
@@ -488,8 +506,10 @@ def build_front(request: EvaluationRequest) -> Pipeline:
     Everything up to (not including) simulation is a pure function of
     the request's :meth:`~EvaluationRequest.group_key` fields, so the
     serve worker caches the result across requests (the hot-circuit
-    LRU) and re-simulates the same circuit object — which also keeps
-    the object-identity compiled-kernel memo warm.
+    LRU) and a DSE group builds it once for all its points; both
+    evaluate on :meth:`Pipeline.fork` copies of it, re-simulating the
+    same circuit object — which also keeps the object-identity
+    compiled-kernel memo warm.
     """
     pipe = Pipeline(request.workload if request.workload is not None
                     else request.source,

@@ -487,7 +487,6 @@ def cmd_explore(args) -> int:
     from .dse import (DEFAULT_LEASE_TTL, DEFAULT_SWEEPS_DIR,
                       GridSpace, RandomSpace, RetryPolicy, explore,
                       parse_axis, resume)
-    from .report import render_explore_markdown
 
     retry = RetryPolicy(max_attempts=max(1, args.retries),
                         base_delay=args.retry_delay)
@@ -503,7 +502,6 @@ def cmd_explore(args) -> int:
             workers=args.workers, cache=cache, progress=progress,
             retry=retry, point_timeout=args.point_timeout,
             lease_ttl=lease_ttl)
-        objectives = list(report.objectives)
     else:
         if not args.workload:
             raise ReproError(
@@ -527,19 +525,30 @@ def cmd_explore(args) -> int:
             check=not args.no_check, progress=progress,
             journal=journal, sweep_id=args.sweep_id, retry=retry,
             point_timeout=args.point_timeout, lease_ttl=lease_ttl)
+    return _finish_explore(report, report.to_json(), json_path=args.json,
+                           md_path=args.md)
+
+
+def _finish_explore(report, doc, *, json_path: Optional[str],
+                    md_path: Optional[str] = None) -> int:
+    """Summary, Pareto frontier, report files, failures and the exit
+    code of a sweep — local (``repro explore``) or served (``repro
+    client explore``)."""
+    from .report import render_explore_markdown
+
     print(report.summary())
-    doc = report.to_json()
-    print(f"\nPareto frontier ({' / '.join(objectives)}, minimized):")
+    print(f"\nPareto frontier ({' / '.join(report.objectives)}, "
+          f"minimized):")
     for index in report.pareto:
         print(f"  {report.point(index).describe()}")
-    if args.json:
-        with open(args.json, "w") as fh:
+    if json_path:
+        with open(json_path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
-        print(f"wrote {args.json}")
-    if args.md:
-        with open(args.md, "w") as fh:
+        print(f"wrote {json_path}")
+    if md_path:
+        with open(md_path, "w") as fh:
             fh.write(render_explore_markdown(doc))
-        print(f"wrote {args.md}")
+        print(f"wrote {md_path}")
     failures = [p for p in report.points if not p.ok]
     for point in failures:
         err = point.error or {}
@@ -549,7 +558,7 @@ def cmd_explore(args) -> int:
     if not failures:
         return 0
     if len(failures) == len(report.points):
-        return failures[0].error.get("exit_code", 1) or 1
+        return (failures[0].error or {}).get("exit_code", 1) or 1
     if any(p.quarantined for p in failures):
         # Distinct exit so CI can tell "a point is poison" apart from
         # ordinary partial failure.
@@ -890,55 +899,30 @@ def cmd_client_evaluate(args) -> int:
 
 
 def cmd_client_explore(args) -> int:
-    from .dse import parse_axis
-    from .dse.engine import PointResult
+    from .dse import ExploreReport, parse_axis
 
     client = _make_client(args)
     axes = dict(parse_axis(text) for text in args.grid)
     if not axes:
         raise ReproError(
             "client explore needs at least one --grid AXIS=V1,V2,...")
-    sim = {}
-    if args.kernel != SimParams.kernel:
-        sim["kernel"] = args.kernel
-    if args.max_cycles != 5_000_000:
-        sim["max_cycles"] = args.max_cycles
     spec = {"workload": args.workload, "grid": axes,
             "pipeline": args.pipeline, "variant": args.variant,
+            "sim": {"kernel": args.kernel,
+                    "max_cycles": args.max_cycles},
             "check": not args.no_check,
             "objectives": [o.strip() for o in
                            args.objectives.split(",") if o.strip()]}
-    if sim:
-        spec["sim"] = sim
-    report = client.explore(spec)
-    points = [PointResult.from_json(doc) for doc in report["points"]]
-    for point in points:
+    doc = client.explore(spec)
+    report = ExploreReport.from_json(doc)
+    for point in report.points:
         print(point.describe())
-    print(f"\nPareto frontier "
-          f"({' / '.join(report['objectives'])}, minimized):")
-    for index in report["pareto"]:
-        print(f"  {points[index].describe()}")
-    sched = report.get("scheduler", {})
-    counters = sched.get("counters", {})
-    print(f"served in {report.get('wall_s', 0.0):g}s "
+    counters = doc.get("scheduler", {}).get("counters", {})
+    print(f"served in {report.wall_s:g}s "
           f"(dedup {counters.get('dedup_hits', 0)}, "
           f"batches {counters.get('batches', 0)}, "
           f"coalesced lanes {counters.get('coalesced_lanes', 0)})")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-        print(f"wrote {args.json}")
-    failures = [p for p in points if not p.ok]
-    for point in failures:
-        err = point.error or {}
-        print(f"  point {point.index} {point.params}: "
-              f"{err.get('error')}: {err.get('message')}",
-              file=sys.stderr)
-    if not failures:
-        return 0
-    if len(failures) == len(points):
-        return (failures[0].error or {}).get("exit_code", 1) or 1
-    return 1
+    return _finish_explore(report, doc, json_path=args.json)
 
 
 def cmd_client_report(args) -> int:
@@ -1017,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate N independent instances in one batched run")
     limit_flags = argparse.ArgumentParser(add_help=False)
     limit_flags.add_argument("--max-cycles", type=int,
-                             default=5_000_000)
+                             default=SimParams.max_cycles)
     limit_flags.add_argument("--timeout", type=float, default=None,
                              metavar="SECONDS",
                              help="wall-clock watchdog for the "
@@ -1247,10 +1231,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser(
-        "fuzz", parents=[limit_flags],
-        help="LI-conformance fuzzing under seeded fault plans")
-    # fuzz defaults a shorter cycle budget than the other commands.
-    p.set_defaults(max_cycles=2_000_000)
+        "fuzz", help="LI-conformance fuzzing under seeded fault plans")
+    # Its own limit flags: fuzz defaults a shorter cycle budget, and
+    # set_defaults() on a subparser would rewrite the default of the
+    # --max-cycles action every command shares through limit_flags.
+    p.add_argument("--max-cycles", type=int, default=2_000_000)
+    p.add_argument("--timeout", type=float, default=None,
+                   metavar="SECONDS",
+                   help="wall-clock watchdog for the simulation")
     # Its own --kernel, unset by default, so a replay can tell it was
     # not given.
     p.add_argument("--kernel", default=None,
@@ -1395,7 +1383,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pass-spec template ({axis} substitutes, "
                         "'seg?axis>1' guards)")
     c.add_argument("--objectives", default="time_us,alms")
-    c.add_argument("--max-cycles", type=int, default=5_000_000)
+    c.add_argument("--max-cycles", type=int,
+                   default=SimParams.max_cycles)
     c.add_argument("--no-check", action="store_true")
     c.add_argument("--json", default=None, metavar="FILE",
                    help="write the explore report JSON here")

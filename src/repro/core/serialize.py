@@ -347,61 +347,24 @@ def circuit_from_dict(data: Dict) -> AcceleratorCircuit:
 # Content addressing
 # ---------------------------------------------------------------------------
 
-def canonical_circuit_dict(circuit: AcceleratorCircuit) -> Dict:
-    """Order-invariant content form of a circuit.
+def circuit_fingerprint(circuit: AcceleratorCircuit) -> str:
+    """SHA-256 (hex digest) of the circuit as built.
 
-    Two circuits with the same tasks, nodes, connections, structures,
-    and attributes hash identically regardless of the order they were
-    built in (node insertion, connection creation, structure
-    registration...).  The circuit's own *display* name is excluded —
-    content addressing must not distinguish ``img_2b_4t`` from
-    ``img_scale_p7`` when the hardware is the same — but node, task,
-    and structure names are content: they name RTL instances.
+    Build order is content: within-cycle arbitration ties make
+    cycle-exact timing depend on the order of nodes, connections and
+    junction clients, so two builds that differ only in order may
+    simulate to different cycle counts and must not share an
+    identity.  The circuit's own *display* name is excluded —
+    ``img_2b_4t`` and ``img_scale_p7`` are the same hardware — but
+    node, task and structure names are content: they name RTL
+    instances.
     """
+    import hashlib
     data = circuit_to_dict(circuit)
     data.pop("name", None)
-    data["structures"] = sorted(
-        data["structures"], key=lambda s: (s["kind"], s["name"]))
-    for task in data["tasks"]:
-        task["nodes"] = sorted(task["nodes"], key=lambda n: n["name"])
-        task["connections"] = sorted(
-            task["connections"],
-            key=lambda c: (c["src"]["node"], c["src"]["port"],
-                           c["dst"]["node"], c["dst"]["port"]))
-        task["lazy_ports"] = sorted(
-            task["lazy_ports"], key=lambda p: (p["node"], p["port"]))
-        for junction in task["junctions"]:
-            junction["clients"] = sorted(junction["clients"])
-        task["junctions"] = sorted(task["junctions"],
-                                   key=lambda j: j["name"])
-    data["tasks"] = sorted(data["tasks"], key=lambda t: t["name"])
-    data["task_edges"] = sorted(
-        data["task_edges"],
-        key=lambda e: (e["parent"], e["child"], e["kind"]))
-    return data
-
-
-def circuit_fingerprint(circuit: AcceleratorCircuit) -> str:
-    """SHA-256 of the canonical content form (hex digest)."""
-    import hashlib
-    payload = json.dumps(canonical_circuit_dict(circuit),
-                         sort_keys=True, separators=(",", ":"),
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"),
                          default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def canonical_circuit(circuit: AcceleratorCircuit) -> AcceleratorCircuit:
-    """Rebuild ``circuit`` in canonical order.
-
-    Within-cycle arbitration ties make cycle-exact timing sensitive to
-    node/junction *ordering*, which is a build artifact, not content.
-    Anything that maps a content fingerprint to cycle-exact results
-    (the DSE cache) must therefore evaluate the canonical form: same
-    fingerprint -> same canonical circuit -> identical simulation.
-    """
-    data = canonical_circuit_dict(circuit)
-    data["name"] = circuit.name
-    return circuit_from_dict(data)
 
 
 def save_circuit(circuit: AcceleratorCircuit, path: str) -> None:

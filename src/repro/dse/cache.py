@@ -3,21 +3,24 @@
 Two-level scheme:
 
 * **objects** — ``<root>/objects/<k:2>/<key>.json``; ``key`` is the
-  SHA-256 of the *content identity* of an evaluation: the canonical
-  circuit fingerprint (:func:`repro.core.serialize.circuit_fingerprint`
-  — order-invariant, display-name-free) plus everything else that
-  determines the result: workload identity (name, variant, args),
-  the semantically relevant :class:`~repro.sim.SimParams` fields,
-  whether the golden check ran, and the cache schema version.  The
-  object document holds the full :class:`~repro.sim.SimStats` JSON
-  and synthesis report, so a hit is bit-identical to a fresh run.
+  SHA-256 of the *content identity* of an evaluation: the fingerprint
+  of the circuit as built (:func:`repro.core.serialize.
+  circuit_fingerprint` — display-name-free, order-sensitive) plus
+  everything else that determines the result: workload identity
+  (name, variant, args), the semantically relevant
+  :class:`~repro.sim.SimParams` fields, whether the golden check ran,
+  and the cache schema version.  The object document holds only
+  content-determined fields of the wire evaluation document
+  (:data:`STORED_FIELDS`: cycles, results, verification, synthesis),
+  so a hit is bit-identical to a fresh run, stamped with the schema,
+  its key and the circuit fingerprint it was stored under.
 * **request index** — ``<root>/index.json``; maps the SHA-256 of the
   *request* (workload, variant, pass-spec string, sim config, check)
-  to the content key it produced last time.  Warm re-runs are served from the
-  index without translating or optimizing anything; overlapping sweeps
-  whose different requests produce the same hardware (e.g. reordered
-  but commuting pass specs) still share one object via the content
-  key.
+  to the content key it produced last time.  Warm re-runs are served
+  from the index without translating or optimizing anything;
+  overlapping sweeps whose different requests build the same circuit
+  (e.g. a pass that finds nothing to do) still share one object via
+  the content key.
 
 Object writes are atomic (temp file + ``os.replace``) so parallel
 workers may share a cache directory; the index is only written by the
@@ -33,7 +36,11 @@ import sys
 import tempfile
 from typing import Dict, Optional
 
-CACHE_SCHEMA = "repro.dse-cache/v1"
+CACHE_SCHEMA = "repro.dse-cache/v2"
+
+#: Fields of a wire evaluation document that a stored object keeps:
+#: exactly those its content key determines (no names, no pass log).
+STORED_FIELDS = ("cycles", "results", "verified", "synth")
 
 #: SimParams fields that determine simulation *results* (not wall-time
 #: behavior like watchdogs or observability sinks).

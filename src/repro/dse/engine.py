@@ -26,6 +26,10 @@ keeps searching when the environment misbehaves:
   carries the ``--resume`` hint), :func:`resume` completes only the
   missing points with a byte-identical report, and multiple processes
   can shard one journal by claiming leases;
+* every point is an :class:`~repro.api.EvaluationRequest` evaluated by
+  :func:`repro.api.execute` on the circuit as built — the evaluator
+  behind ``repro simulate`` and the serve daemon — so a design point
+  gets the same cycle count whichever entry point asked for it;
 * results land in a persistent :class:`~repro.dse.cache.ResultCache`;
   warm re-runs are served from the request index without touching the
   front-end, and overlapping sweeps share objects by content;
@@ -44,6 +48,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Union
 
 from .. import telemetry
+from ..api import EvaluationRequest, build_front, execute
+from ..core.serialize import circuit_fingerprint
 from ..errors import (
     ReproError,
     SweepInterrupted,
@@ -52,12 +58,13 @@ from ..errors import (
     unexpected_error_document,
 )
 from ..opt import parse_pass_specs, spec_to_string
-from ..sim import SimParams
+from ..sim import SimParams, precompile
 from ..supervise import (RetryPolicy, SupervisedPool, Task,
                          default_workers, maybe_chaos)
 from ..workloads import get_workload
 from .cache import (
     COUNT_KEYS,
+    STORED_FIELDS,
     ResultCache,
     content_key,
     request_key,
@@ -74,11 +81,12 @@ from .journal import (
 )
 from .space import DesignSpace, render_pipeline
 
-EXPLORE_SCHEMA = "repro.explore/v1"
+EXPLORE_SCHEMA = "repro.explore/v2"
 
 #: Metrics a point exposes for objectives / reporting, all
-#: minimized.  Extraction is from the cached JSON documents so cache
-#: hits and fresh runs are indistinguishable.
+#: minimized.  Extraction is from the wire evaluation fields a point
+#: keeps, so cache hits, fresh runs and served points are
+#: indistinguishable.
 METRICS = ("time_us", "cycles", "alms", "regs", "dsps", "fpga_mw",
            "asic_area_kum2", "asic_mw")
 
@@ -90,8 +98,15 @@ DURABILITY_KEYS = ("retries", "worker_deaths", "timeouts",
 
 @dataclass
 class PointResult:
-    """Outcome of one design point (fresh, cached, resumed, or
-    failed)."""
+    """Outcome of one design point (fresh, cached, resumed, served, or
+    failed).
+
+    An ok point holds the wire outcome of its evaluation — ``cycles``,
+    ``verified`` and ``synth`` — and nothing host-local (``SimStats``
+    stays with the process that simulated, as on the wire).  The
+    provenance fields ``source``, ``key``, ``fingerprint``, ``wall_s``
+    and ``attempts`` say how the outcome was obtained, not what it is.
+    """
 
     index: int
     params: Dict[str, object]
@@ -102,10 +117,9 @@ class PointResult:
     #: (restored from a sweep journal on resume).
     source: str = "fresh"
     key: str = ""                       # content key, when known
-    fingerprint: str = ""               # canonical circuit fingerprint
+    fingerprint: str = ""               # circuit fingerprint, as built
     cycles: Optional[int] = None
     verified: Optional[bool] = None
-    stats: Optional[Dict] = None        # SimStats.to_json() document
     synth: Optional[Dict] = None        # SynthesisReport.to_json()
     error: Optional[Dict] = None        # repro.errors.error_document
     wall_s: float = 0.0
@@ -122,6 +136,23 @@ class PointResult:
     @property
     def quarantined(self) -> bool:
         return (self.error or {}).get("error") == "PoisonPointError"
+
+    def settle(self, evaluation: Optional[Dict], *, source: str,
+               error: Optional[Dict] = None) -> None:
+        """Record an outcome: the wire evaluation document of an ok
+        evaluation (or a stored object, which keeps the same fields),
+        else ``error``.  ``explore()``, ``resume()`` and the daemon's
+        explore verb all settle points here, so a point reads the same
+        whichever path evaluated it."""
+        self.source = source
+        if evaluation is None:
+            self.status = "failed"
+            self.error = error
+            return
+        self.status = "ok"
+        self.cycles = evaluation["cycles"]
+        self.verified = evaluation.get("verified")
+        self.synth = evaluation["synth"]
 
     def metric(self, name: str) -> Optional[float]:
         if not self.ok:
@@ -154,16 +185,17 @@ class PointResult:
                        alms=self.synth["alms"],
                        fpga_mhz=self.synth["fpga_mhz"],
                        fpga_mw=self.synth["fpga_mw"],
-                       stats=self.stats, synth=self.synth)
+                       synth=self.synth)
         else:
             doc["error"] = self.error
         return doc
 
     @classmethod
     def from_json(cls, doc: Dict) -> "PointResult":
-        """Rebuild a point from its :meth:`to_json` document (used by
-        journal restores — a resumed point is byte-identical to the
-        run that produced it)."""
+        """Rebuild a point from its :meth:`to_json` document (journal
+        restores — a resumed point is byte-identical to the run that
+        produced it — and served sweeps).  A ``stats`` entry, which
+        ``repro.explore/v1`` points carried, is ignored."""
         point = cls(index=doc["index"],
                     params=dict(doc.get("params") or {}),
                     pass_spec=doc.get("passes"))
@@ -176,7 +208,6 @@ class PointResult:
         if point.ok:
             point.cycles = doc["cycles"]
             point.verified = doc.get("verified")
-            point.stats = doc.get("stats")
             point.synth = doc.get("synth")
         else:
             point.error = doc.get("error")
@@ -278,6 +309,15 @@ class ExploreReport:
             "points": [p.to_json() for p in self.points],
         }
 
+    @classmethod
+    def from_json(cls, doc: Dict) -> "ExploreReport":
+        """Rebuild a report from :meth:`to_json` (a served sweep)."""
+        return cls(points=[PointResult.from_json(p) for p in doc["points"]],
+                   **{k: doc[k] for k in (
+                       "workload", "variant", "template", "objectives",
+                       "sim", "workers", "wall_s", "cache", "sweep_id",
+                       "durability")})
+
     def summary(self) -> str:
         c = self.counts
         line = (f"{self.workload}: {c['points']} points "
@@ -308,106 +348,77 @@ class ExploreReport:
 def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
     """Evaluate a group of points sharing one pass spec in a worker.
 
-    Batched evaluation: every payload in the group maps to the *same*
-    canonical circuit (pass spec fixed, only ``sim.*`` axes vary), so
-    the front-end — MiniC -> uIR -> uopt -> canonicalization — runs
-    ONCE for the whole group, and so does compiled-kernel
-    specialization, at the first point that is simulated (a group the
-    result cache answers compiles nothing).  Per-point cost reduces to
-    simulation + synthesis.  Single-point groups behave exactly like
-    the old per-point worker.
+    Each payload carries one point's :class:`EvaluationRequest`
+    document; the group shares a front end (only ``sim.*`` axes vary),
+    so MiniC -> uIR -> uopt runs ONCE per group (:func:`build_front`)
+    and every point is evaluated by :func:`repro.api.execute` on a
+    fork of it — the evaluator, and the circuit as built, that
+    ``repro simulate`` and the serve daemon use.  What stays here is
+    sweep-specific: the content-store lookup under the group's circuit
+    fingerprint, and compiled-kernel specialization into the identity
+    memo at the first point that is simulated (a group the result
+    cache answers compiles nothing).
 
     Returns one plain dict per payload (never raises): ``{"index",
-    "ok", "source", "key", "fingerprint", "doc" | "error", "wall_s"}``.
-    Error documents always carry a retry ``family`` and — for
-    unexpected exceptions — the traceback tail, so the supervisor can
-    classify them and ``repro sweeps show`` can display them.
+    "ok", "source", "key", "fingerprint", "doc" | "error", "wall_s"}``,
+    where ``doc`` holds the :data:`~repro.dse.cache.STORED_FIELDS` of
+    the evaluation.  Error documents always carry a retry ``family``
+    and — for unexpected exceptions — the traceback tail, so the
+    supervisor can classify them and ``repro sweeps show`` can display
+    them.  ``wall_s`` is the group's front-end time split evenly
+    across its points plus the point's own time.
     """
     t0 = time.perf_counter()
     outs: List[Dict] = [
         {"index": p["index"], "ok": False, "source": "fresh",
          "key": "", "fingerprint": "", "wall_s": 0.0}
         for p in payloads]
-    first = payloads[0]
     try:
-        from ..api import Pipeline
-        from ..core.serialize import canonical_circuit, \
-            circuit_fingerprint
-        from ..sim.compile import precompile
-
-        w = get_workload(first["workload"])
-        variant = first["variant"]
-        args = list(w.args_for(variant))
-        pipe = Pipeline(w, variant=variant,
-                        name=f"{w.name}_dse{first['index']}")
-        pipe.optimize(first["pass_spec"])
-        canon = canonical_circuit(pipe.circuit)
-        fingerprint = circuit_fingerprint(canon)
-    except ReproError as exc:
-        doc = error_document(exc)
-        doc["family"] = family_for(exc)
-        share = (time.perf_counter() - t0) / len(payloads)
-        for out in outs:
-            out.update(error=dict(doc), wall_s=share)
-        return outs
+        requests = [EvaluationRequest.from_json(p["request"])
+                    for p in payloads]
+        first = requests[0]
+        w = get_workload(first.workload)
+        args = list(w.args_for(first.variant))
+        front = build_front(first)
+        fingerprint = circuit_fingerprint(front.circuit)
     except Exception as exc:  # noqa: BLE001 - sweep must survive
-        doc = unexpected_error_document(exc)
+        doc = _error_doc(exc)
         share = (time.perf_counter() - t0) / len(payloads)
         for out in outs:
             out.update(error=dict(doc), wall_s=share)
         return outs
     front_share = (time.perf_counter() - t0) / len(payloads)
 
-    cache = ResultCache(first["cache_root"]) \
-        if first.get("cache_root") else None
-    for payload, out in zip(payloads, outs):
+    cache = ResultCache(payloads[0]["cache_root"]) \
+        if payloads[0].get("cache_root") else None
+    for payload, request, out in zip(payloads, requests, outs):
         t1 = time.perf_counter()
         maybe_chaos(payload["index"])
         out["fingerprint"] = fingerprint
         try:
-            ckey = content_key(fingerprint, w.name, variant, args,
-                               payload["sim"], payload["check"])
+            params = request.sim_params()
+            ckey = content_key(fingerprint, w.name, request.variant,
+                               args, sim_key_dict(params), request.check)
             out["key"] = ckey
-            if cache is not None:
-                doc = cache.get(ckey)
-                if doc is not None:
-                    out.update(ok=True, source="cache", doc=doc,
-                               wall_s=front_share
-                               + time.perf_counter() - t1)
-                    continue
-            params = SimParams(
-                wallclock_timeout=payload.get("wallclock_timeout"),
-                **payload["sim"])
-            if params.kernel == "compiled":
-                # Compiled once per group, at its first simulated
-                # point, under the fingerprint we already paid for.
-                precompile(canon, fingerprint)
-            run = Pipeline.from_circuit(canon, workload=w,
-                                        variant=variant)
-            run.pass_spec = payload["pass_spec"]
-            ev = run.simulate(params, check=payload["check"]) \
-                    .synthesize(name=w.name)
-            doc = {
-                "workload": w.name,
-                "variant": variant,
-                "passes": payload["pass_spec"],
-                "fingerprint": fingerprint,
-                "sim": payload["sim"],
-                "cycles": ev.cycles,
-                "results": list(ev.results),
-                "verified": ev.verified,
-                "stats": ev.stats.to_json(),
-                "synth": ev.synth.to_json(),
-            }
-            if cache is not None:
-                cache.put(ckey, doc)
-            out.update(ok=True, doc=doc)
-        except ReproError as exc:
-            doc = error_document(exc)
-            doc["family"] = family_for(exc)
-            out["error"] = doc
+            doc = cache.get(ckey) if cache is not None else None
+            if doc is not None:
+                out.update(ok=True, source="cache", doc=doc)
+            else:
+                if params.kernel == "compiled":
+                    # Compiled once per group, at its first simulated
+                    # point, under the fingerprint we already paid for.
+                    precompile(front.circuit, fingerprint)
+                response = execute(request, pipeline=front.fork())
+                if response.ok:
+                    doc = {k: response.evaluation[k]
+                           for k in STORED_FIELDS}
+                    if cache is not None:
+                        cache.put(ckey, dict(doc, fingerprint=fingerprint))
+                    out.update(ok=True, doc=doc)
+                else:
+                    out["error"] = response.error
         except Exception as exc:  # noqa: BLE001 - sweep must survive
-            out["error"] = unexpected_error_document(exc)
+            out["error"] = _error_doc(exc)
         out["wall_s"] = front_share + time.perf_counter() - t1
     if cache is not None:
         # Ship the worker-local cache tallies home: metrics registries
@@ -415,6 +426,16 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
         # aggregates these into the explore report and telemetry.
         outs[-1]["cache_counts"] = dict(cache.counts)
     return outs
+
+
+def _error_doc(exc: BaseException) -> Dict:
+    """Error document of a failed point, with its retry ``family``
+    (unexpected exceptions also carry a traceback tail)."""
+    if not isinstance(exc, ReproError):
+        return unexpected_error_document(exc)
+    doc = error_document(exc)
+    doc["family"] = family_for(exc)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +523,7 @@ class _Sweep:
         point.fingerprint = out.get("fingerprint", "")
         point.wall_s = out.get("wall_s", 0.0)
         point.attempts = task.attempts
-        _apply_doc(point, out["doc"], source=out["source"])
+        point.settle(out["doc"], source=out["source"])
         if self.cache is not None and task.rkey:
             self.cache.record_request(task.rkey, point.key)
         self.emit(point)
@@ -651,25 +672,29 @@ class _Sweep:
 # ---------------------------------------------------------------------------
 
 def plan_points(workload_name: str, params_list: Sequence[Dict],
-                pipeline: PipelineTemplate,
-                base_sim: Dict[str, object], *,
-                variant: str = "base") -> List[Dict]:
-    """Plan a sweep: params -> pass spec + per-point sim dict + key.
+                pipeline: PipelineTemplate, sim: SimParams, *,
+                variant: str = "base", check: bool = True) -> List[Dict]:
+    """Plan a sweep: params -> pass spec + per-point sim + request.
 
     One planned row per point: ``{index, params, pass_spec, sim, key,
-    _point, _plan_error}``.  Planning failures (bad template, unknown
-    ``sim.*`` axis) are recorded as deterministic point errors rather
-    than raised, so one bad axis value doesn't sink the sweep.  Shared
-    by :func:`explore` and the ``repro.serve`` daemon, which plans
-    here and then funnels each point through its request queue.
+    request, _point, _plan_error}``.  ``sim`` is the result-determining
+    subset of ``sim`` (:func:`~repro.dse.cache.sim_key_dict`) with the
+    point's ``sim.*`` axes applied; ``request`` is the
+    :class:`EvaluationRequest` that evaluates the point.  Planning
+    failures (bad template, unknown ``sim.*`` axis) are recorded as
+    deterministic point errors rather than raised, so one bad axis
+    value doesn't sink the sweep.  Shared by :func:`explore` and the
+    ``repro.serve`` daemon, which submits each row's request to its
+    queue.
     """
+    base_sim = sim_key_dict(sim)
     planned: List[Dict] = []
     for index, params in enumerate(params_list):
         point = PointResult(index=index, params=params, pass_spec=None)
         sim_over = {str(k)[4:]: v for k, v in params.items()
                     if str(k).startswith("sim.")}
         point_sim = dict(base_sim, **sim_over)
-        plan_error = None
+        request = plan_error = None
         try:
             if callable(pipeline):
                 raw_spec = pipeline(params)
@@ -683,9 +708,11 @@ def plan_points(workload_name: str, params_list: Sequence[Dict],
                     f"unknown sim.* axis(es): "
                     f"{', '.join(sorted(unknown))}; known: "
                     f"{', '.join(sorted(base_sim))}")
+            request = _point_request(workload_name, variant,
+                                     point.pass_spec, point_sim,
+                                     sim.wallclock_timeout, check)
         except ReproError as exc:
-            plan_error = error_document(exc)
-            plan_error["family"] = "deterministic"
+            plan_error = point.error = _error_doc(exc)
         planned.append({
             "index": index,
             "params": params,
@@ -693,10 +720,22 @@ def plan_points(workload_name: str, params_list: Sequence[Dict],
             "sim": point_sim,
             "key": point_key(workload_name, variant, params,
                              point.pass_spec, point_sim),
+            "request": request,
             "_point": point,
             "_plan_error": plan_error,
         })
     return planned
+
+
+def _point_request(workload: str, variant: str, pass_spec: str,
+                   sim: Dict[str, object],
+                   wallclock_timeout: Optional[float],
+                   check: bool) -> EvaluationRequest:
+    """The request that evaluates one planned point."""
+    return EvaluationRequest(
+        workload=workload, variant=variant, passes=pass_spec,
+        sim=dict(sim, wallclock_timeout=wallclock_timeout),
+        check=check)
 
 
 def explore(workload, space: Union[DesignSpace, Iterable[Dict]], *,
@@ -751,8 +790,8 @@ def explore(workload, space: Union[DesignSpace, Iterable[Dict]], *,
     base_sim = sim_key_dict(sim)
     template = pipeline if isinstance(pipeline, str) else None
 
-    planned = plan_points(w.name, params_list, pipeline, base_sim,
-                          variant=variant)
+    planned = plan_points(w.name, params_list, pipeline, sim,
+                          variant=variant, check=check)
 
     journal = _open_journal(journal, sweep_id)
     attached = journal is not None and journal.exists()
@@ -780,7 +819,7 @@ def explore(workload, space: Union[DesignSpace, Iterable[Dict]], *,
 
     return _execute(
         w=w, variant=variant, template=template,
-        objectives=list(objectives), sim=sim, base_sim=base_sim,
+        objectives=list(objectives), base_sim=base_sim,
         workers=workers, cache=cache, check=check, progress=progress,
         planned=planned, journal=journal,
         journal_state=journal_state, retry=retry,
@@ -812,21 +851,8 @@ def resume(ref: str, *,
             f"(torn write at creation?); it cannot be resumed")
     plan = state.plan
     w = get_workload(plan["workload"])
+    variant = plan.get("variant", "base")
     base_sim = dict(plan.get("sim") or {})
-    rows = state.ordered()
-    planned: List[Dict] = []
-    for ps in rows:
-        point = PointResult(index=ps.index, params=dict(ps.params),
-                            pass_spec=ps.pass_spec)
-        planned.append({
-            "index": ps.index,
-            "params": dict(ps.params),
-            "pass_spec": ps.pass_spec,
-            "sim": dict(ps.sim),
-            "key": ps.key,
-            "_point": point,
-            "_plan_error": None,
-        })
     # The plan's point rows also carried the watchdog + check flags.
     wallclock = None
     check = True
@@ -836,12 +862,30 @@ def resume(ref: str, *,
             wallclock = rec.get("wallclock_timeout", wallclock)
             check = rec.get("check", check)
             break
-    sim = SimParams(wallclock_timeout=wallclock, **base_sim)
+    planned: List[Dict] = []
+    for ps in state.ordered():
+        point = PointResult(index=ps.index, params=dict(ps.params),
+                            pass_spec=ps.pass_spec)
+        request = plan_error = None
+        try:
+            request = _point_request(w.name, variant, ps.pass_spec,
+                                     ps.sim, wallclock, check)
+        except ReproError as exc:  # a point that failed planning
+            plan_error = point.error = _error_doc(exc)
+        planned.append({
+            "index": ps.index,
+            "params": dict(ps.params),
+            "pass_spec": ps.pass_spec,
+            "sim": dict(ps.sim),
+            "key": ps.key,
+            "request": request,
+            "_point": point,
+            "_plan_error": plan_error,
+        })
     return _execute(
-        w=w, variant=plan.get("variant", "base"),
-        template=plan.get("template"),
+        w=w, variant=variant, template=plan.get("template"),
         objectives=list(plan.get("objectives") or ("time_us", "alms")),
-        sim=sim, base_sim=base_sim, workers=workers, cache=cache,
+        base_sim=base_sim, workers=workers, cache=cache,
         check=check, progress=progress, planned=planned,
         journal=journal, journal_state=state, retry=retry,
         point_timeout=point_timeout, lease_ttl=lease_ttl, t0=t0)
@@ -853,7 +897,7 @@ def _open_journal(journal, sweep_id) -> Optional[SweepJournal]:
     return SweepJournal(str(journal), sweep_id or new_sweep_id())
 
 
-def _execute(*, w, variant, template, objectives, sim, base_sim,
+def _execute(*, w, variant, template, objectives, base_sim,
              workers, cache, check, progress, planned, journal,
              journal_state, retry, point_timeout, lease_ttl,
              t0) -> ExploreReport:
@@ -877,7 +921,6 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
             sweep.restore(point, ps)
             continue
         if row["_plan_error"] is not None:
-            point.error = row["_plan_error"]
             sweep.emit(point)
             if journal is not None:
                 journal.record_error(row["key"], "planner", 1,
@@ -889,7 +932,9 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
                                args, row["sim"], check)
             doc = cache.lookup_request(rkey)
             if doc is not None:
-                _apply_doc(point, doc, source="cache-index")
+                point.key = doc["key"]
+                point.fingerprint = doc["fingerprint"]
+                point.settle(doc, source="cache-index")
                 sweep.emit(point)
                 if journal is not None:
                     journal.record_done(row["key"], "index",
@@ -897,24 +942,19 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
                 continue
         pending.append(_PointTask({
             "index": row["index"],
-            "workload": w.name,
-            "variant": variant,
-            "pass_spec": row["pass_spec"],
-            "sim": row["sim"],
-            "wallclock_timeout": sim.wallclock_timeout,
-            "check": check,
+            "request": row["request"].to_json(),
             "cache_root": cache.root if cache is not None else None,
         }, point, rkey, row["key"]))
 
-    # Batched dispatch: points sharing a pass spec share a canonical
-    # circuit fingerprint, so they ship to workers as *groups* and the
+    # Batched dispatch: points sharing a pass spec share a front end
+    # and a circuit, so they ship to workers as *groups* and the
     # front-end runs once per group (sim.*-only sweeps pay one
     # translation + optimization + specialization for the whole axis).
     # Each group is split into at most ``workers`` chunks so a single
     # large group still saturates the pool.
     by_spec: Dict[str, List[_PointTask]] = {}
     for task in pending:
-        by_spec.setdefault(task.payload["pass_spec"], []).append(task)
+        by_spec.setdefault(task.point.pass_spec, []).append(task)
     chunks: List[List[_PointTask]] = []
     for group in by_spec.values():
         ways = min(max(1, workers), len(group))
@@ -976,13 +1016,3 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
                 telemetry.note_fingerprint(p.fingerprint)
     return report
 
-
-def _apply_doc(point: PointResult, doc: Dict, source: str) -> None:
-    point.status = "ok"
-    point.source = source
-    point.key = doc.get("key", point.key)
-    point.fingerprint = doc.get("fingerprint", point.fingerprint)
-    point.cycles = doc["cycles"]
-    point.verified = doc.get("verified")
-    point.stats = doc["stats"]
-    point.synth = doc["synth"]

@@ -137,10 +137,13 @@ def find_loops(function: Function) -> List[Loop]:
     """All natural loops, outermost first, with nesting links set."""
     idom = dominators(function)
     preds = predecessors(function)
-    reachable = set(reverse_post_order(function))
+    rpo = reverse_post_order(function)
+    reachable = set(rpo)
 
+    # Walk blocks in RPO, not set order: loop order becomes task order
+    # in the circuit, which must not depend on object addresses.
     header_latches: Dict[BasicBlock, List[BasicBlock]] = {}
-    for block in reachable:
+    for block in rpo:
         for succ in block.successors():
             if succ in reachable and dominates(idom, succ, block):
                 header_latches.setdefault(succ, []).append(block)

@@ -358,7 +358,7 @@ def dump_report(report: Dict, json_path: Optional[str] = None,
 # -- design-space exploration rendering -------------------------------------
 
 def render_explore_markdown(doc: Dict) -> str:
-    """Markdown report for a ``repro.explore/v1`` document.
+    """Markdown report for a ``repro.explore/v2`` document.
 
     Takes the JSON form (:meth:`repro.dse.ExploreReport.to_json`), so
     it renders saved reports as well as live ones.

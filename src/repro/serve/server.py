@@ -15,9 +15,11 @@ Verbs:
     paths accept both kinds (the request's ``kind`` field rules).
 ``POST /v1/explore``
     Body: a sweep spec (see :meth:`ServeServer._handle_explore`); the
-    sweep is planned with :func:`repro.dse.engine.plan_points` and
-    every point funnels through the same scheduler queue as single
-    evaluates — dedup and coalescing apply to sweep points too.
+    sweep is planned with :func:`repro.dse.engine.plan_points`, as
+    ``repro explore`` plans it, and every point's request funnels
+    through the same scheduler queue as single evaluates — dedup and
+    coalescing apply to sweep points too.  The answer is a
+    ``repro.explore`` report plus the scheduler's counters.
 ``POST /v1/report``
     Scheduler counters, queue depth, and (if telemetry is on) a
     metrics snapshot.
@@ -32,13 +34,14 @@ import contextlib
 import os
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .. import telemetry
 from ..api.requests import EvaluationRequest
-from ..dse.engine import (METRICS, PointResult, pareto_frontier,
-                          plan_points)
+from ..dse.cache import SIM_KEY_FIELDS, sim_key_dict
+from ..dse.engine import METRICS, ExploreReport, plan_points
 from ..errors import ReproError, error_document
+from ..sim import SimParams
 from ..supervise import RetryPolicy
 from .protocol import (PROTOCOL, ProtocolError, event_bytes,
                        read_request, response_header, verb_of)
@@ -218,24 +221,11 @@ class ServeServer:
             return
         t0 = time.monotonic()
         planned = plan_points(spec.workload, spec.params_list,
-                              spec.template, spec.base_sim,
-                              variant=spec.variant)
-        jobs: List = []
-        points: Dict[int, PointResult] = {}
-        for row in planned:
-            point: PointResult = row["_point"]
-            points[row["index"]] = point
-            if row["_plan_error"] is not None:
-                point.error = row["_plan_error"]
-                jobs.append(None)
-                continue
-            request = EvaluationRequest(
-                workload=spec.workload, variant=spec.variant,
-                passes=row["pass_spec"] or "",
-                sim={k: v for k, v in row["sim"].items()
-                     if v is not None},
-                check=spec.check)
-            jobs.append(await self.scheduler.submit(request))
+                              spec.template, spec.sim,
+                              variant=spec.variant, check=spec.check)
+        jobs = [None if row["request"] is None
+                else await self.scheduler.submit(row["request"])
+                for row in planned]
         total = len(planned)
         pending = [j for j in jobs if j is not None]
         while any(not j.done.is_set() for j in pending):
@@ -256,20 +246,21 @@ class ServeServer:
         for row, job in zip(planned, jobs):
             if job is None:
                 continue
-            _apply_response(points[row["index"]], job.response_doc,
-                            row["sim"])
-        result_points = [points[row["index"]] for row in planned]
-        pareto = pareto_frontier(result_points, spec.objectives)
-        report = {
-            "workload": spec.workload, "variant": spec.variant,
-            "template": spec.template if isinstance(spec.template,
-                                                    str) else None,
-            "objectives": list(spec.objectives),
-            "points": [p.to_json() for p in result_points],
-            "pareto": pareto,
-            "wall_s": round(time.monotonic() - t0, 4),
-            "scheduler": self.scheduler.snapshot(),
-        }
+            response = job.response_doc
+            point = row["_point"]
+            point.key = response.get("request_key", "")
+            point.wall_s = (response.get("meta") or {}).get("wall_s", 0.0)
+            point.attempts = job.attempts
+            point.settle(response.get("evaluation")
+                         if response.get("status") == "ok" else None,
+                         source="fresh", error=response.get("error"))
+        report = ExploreReport(
+            workload=spec.workload, variant=spec.variant,
+            template=spec.template, objectives=spec.objectives,
+            sim=sim_key_dict(spec.sim), workers=self.scheduler.workers,
+            points=[row["_point"] for row in planned],
+            wall_s=time.monotonic() - t0).to_json()
+        report["scheduler"] = self.scheduler.snapshot()
         await self._event(writer, {"event": "result",
                                    "response": report})
 
@@ -327,35 +318,17 @@ class _ExploreSpec:
         else:
             raise ReproError(
                 "explore spec needs points=[...] or grid={...}")
+        # A sweep evaluates what `repro explore` does: the
+        # result-determining sim fields plus the watchdog.
         sim = dict(body.get("sim") or {})
-        from ..api.requests import SIM_FIELDS
-        unknown = set(sim) - set(SIM_FIELDS)
+        known = SIM_KEY_FIELDS + ("wallclock_timeout",)
+        unknown = set(sim) - set(known)
         if unknown:
             raise ReproError(
-                f"unknown sim field(s): {', '.join(sorted(unknown))}")
-        self.base_sim = sim
-
-
-def _apply_response(point: PointResult, response: Optional[Dict],
-                    sim: Dict) -> None:
-    """Fill a PointResult from the serve response document."""
-    if response is None:
-        point.error = {"error": "ReproError",
-                       "message": "no response (server shutdown?)",
-                       "exit_code": 2, "family": "transient"}
-        return
-    meta = response.get("meta") or {}
-    point.wall_s = float(meta.get("wall_s") or 0.0)
-    point.key = response.get("request_key", "")
-    if response.get("status") != "ok":
-        point.error = response.get("error")
-        return
-    ev = response.get("evaluation") or {}
-    point.status = "ok"
-    point.cycles = ev.get("cycles")
-    point.verified = ev.get("verified")
-    point.synth = ev.get("synth")
-    point.stats = None  # host-local; not on the wire by design
+                f"unknown sweep sim field(s): "
+                f"{', '.join(sorted(unknown))}; known: "
+                f"{', '.join(known)}")
+        self.sim = SimParams(**sim)
 
 
 def start_in_thread(**kwargs) -> "ServerHandle":

@@ -39,12 +39,12 @@ class _FrontLRU:
 
     def __init__(self, capacity: int = LRU_CAPACITY):
         self.capacity = capacity
-        self._entries: "OrderedDict[str, Dict]" = OrderedDict()
+        self._entries: "OrderedDict[str, Pipeline]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: str) -> Optional[Dict]:
+    def get(self, key: str) -> Optional[Pipeline]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -54,7 +54,7 @@ class _FrontLRU:
             self.hits += 1
             return entry
 
-    def put(self, key: str, entry: Dict) -> None:
+    def put(self, key: str, entry: Pipeline) -> None:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -83,34 +83,15 @@ def front_key(request: EvaluationRequest) -> str:
 
 
 def _pipeline_for(request: EvaluationRequest) -> Tuple[Pipeline, str]:
-    """A fresh :class:`Pipeline` over the (possibly cached) front end.
-
-    The cached circuit/module/pass-log are shared across requests; the
-    Pipeline wrapper is rebuilt per request so mutable result state
-    (sim, memory, synth) never leaks between evaluations.
-    """
+    """A :meth:`~repro.api.Pipeline.fork` of the (possibly cached)
+    front end, so result state never leaks between evaluations."""
     key = front_key(request)
-    entry = _LRU.get(key)
-    if entry is None:
-        pipe = build_front(request)
-        _LRU.put(key, {
-            "workload": pipe.workload,
-            "module": pipe.module,
-            "circuit": pipe.circuit,
-            "pass_log": tuple(pipe.pass_log),
-            "pass_spec": pipe.pass_spec,
-            "name": pipe.name,
-            "variant": pipe.variant,
-        })
-        return pipe, "miss"
-    pipe = Pipeline.from_circuit(entry["circuit"],
-                                 workload=entry["workload"],
-                                 variant=entry["variant"])
-    pipe.module = entry["module"]
-    pipe.name = entry["name"]
-    pipe.pass_log = list(entry["pass_log"])
-    pipe.pass_spec = entry["pass_spec"]
-    return pipe, "hit"
+    front = _LRU.get(key)
+    if front is not None:
+        return front.fork(), "hit"
+    front = build_front(request)
+    _LRU.put(key, front)
+    return front.fork(), "miss"
 
 
 def run_payload(doc: Dict) -> Dict:

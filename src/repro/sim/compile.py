@@ -39,7 +39,7 @@ not once per invocation:
 * **compile** (:func:`compile_circuit`) — per task, select a binder
   per node position and precompute node-content data (specialized
   evaluators, poison values, trip arithmetic constants).  Cached per
-  canonical circuit fingerprint (:func:`repro.core.serialize.
+  circuit fingerprint (:func:`repro.core.serialize.
   circuit_fingerprint`), with an identity memo so repeat simulations
   of the same circuit object (a fuzzer running N fault plans, a DSE
   worker sweeping sim-axes) skip even the fingerprint hash.  DSE
@@ -49,13 +49,12 @@ not once per invocation:
   fault-adjusted latencies.  Spawn-heavy workloads create thousands
   of instances, so binders only do O(ports) work.
 
-Fingerprints are computed on the *canonical content form* (node order
-sorted away), so two equal-fingerprint circuit objects can in
-principle order their node lists differently; a cached plan indexes
-by node position, so every cache hit is verified against a cheap
-structural signature and recompiled on mismatch (never observed for
-canonical circuits, which rebuild deterministically — belt and
-braces for hand-built duplicates).
+Fingerprints hash the circuit as built, node order included, so two
+equal-fingerprint circuit objects list their nodes in the same order.
+A cached plan indexes by node position, so every cache hit is still
+verified against a cheap structural signature and recompiled on
+mismatch (belt and braces: a mismatch would need two circuits whose
+serialized forms agree but whose node objects differ).
 
 A circuit containing a node kind with no registered step compiler
 raises :class:`repro.errors.KernelCompileError`; the engine either
@@ -1524,8 +1523,7 @@ class CompiledCircuit:
 
 
 def circuit_signature(circuit) -> tuple:
-    """Cheap structural identity: node-position-sensitive, unlike the
-    canonical fingerprint (which sorts node order away)."""
+    """Cheap structural identity: node kinds by position, per task."""
     return tuple(
         (name, tuple(_node_signature(n) for n in task.dataflow.nodes))
         for name, task in sorted(circuit.tasks.items()))
@@ -1555,7 +1553,7 @@ def compiled_for(circuit,
     """Compile ``circuit`` (or fetch the cached artifact).
 
     Warm paths, fastest first: the object identity memo (no hashing at
-    all), then the fingerprint cache (one canonical-form hash, no
+    all), then the fingerprint cache (one circuit hash, no
     compilation) — each hit verified against the structural signature.
     """
     from .. import telemetry

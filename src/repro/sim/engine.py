@@ -7,10 +7,11 @@ same memory image, same outputs):
   driving per-node step closures specialized once per circuit
   (:mod:`repro.sim.compile`): no per-tick ``isinstance``/attribute
   dispatch on the hot path.  Compiled artifacts are cached per
-  canonical circuit fingerprint, so DSE workers and the fuzzer pay
-  compilation once per design point.  If a circuit cannot be
-  specialized, ``SimParams.compile_fallback`` selects between a
-  warning + event-kernel run (default) and raising
+  circuit fingerprint (the circuit as built), so repeated
+  evaluations, served requests and the fuzzer pay compilation once
+  per design point; DSE groups compile into the identity memo alone.
+  If a circuit cannot be specialized, ``SimParams.compile_fallback``
+  selects between a warning + event-kernel run (default) and raising
   :class:`repro.errors.KernelCompileError`.
 * ``kernel="event"`` — wakeup-driven: only components with a pending
   wake are touched each cycle (see :mod:`repro.sim.events` and the

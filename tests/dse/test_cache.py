@@ -1,20 +1,22 @@
 """Cache-correctness tests: content addressing and the result store.
 
-The load-bearing property: the content key must identify *hardware
-content*, not build history — identical content from different build
-orders hashes identically, while any semantic change (a constant, a
-banking factor, a queue depth, a connection buffer) misses.  And
-because the DSE engine simulates the canonical form, a cache hit is
-bit-identical to a fresh run (see tests/dse/test_engine.py for the
-end-to-end half of that claim).
+The load-bearing property: the content key must identify the circuit
+as built — the thing that is simulated — so equal keys mean equal
+simulations.  Build order is content (arbitration ties make timing
+order-sensitive), the display name is not, and any semantic change (a
+constant, a banking factor, a queue depth, a connection buffer)
+misses.  So a cache hit is bit-identical to a fresh run (see
+tests/dse/test_engine.py for the end-to-end half of that claim).
 """
 
 import json
 import os
+import subprocess
+import sys
 
+import repro
 from repro import Pipeline
 from repro.core.serialize import (
-    canonical_circuit,
     circuit_fingerprint,
     circuit_from_dict,
     circuit_to_dict,
@@ -23,9 +25,6 @@ from repro.dse import (CACHE_SCHEMA, GridSpace, ResultCache, content_key,
                        explore, request_key)
 from repro.dse.cache import sim_key_dict
 from repro.sim import SimParams
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                           "sim", "golden", "seed_cycles.json")
 
 
 def _optimized_circuit(spec="localize,banking=2,fusion"):
@@ -49,11 +48,35 @@ def _permuted(data):
 
 
 class TestFingerprint:
-    def test_build_order_invariant(self):
-        circuit = _optimized_circuit()
+    def test_build_order_is_content(self):
+        # The same covar hardware built in reverse order arbitrates
+        # its within-cycle ties differently: another cycle count, so
+        # it must be another identity.
+        spec = "localize,banking=2,fusion,tuning"
+        circuit = Pipeline("covar").optimize(spec).circuit
         permuted = circuit_from_dict(_permuted(circuit_to_dict(circuit)))
-        assert circuit_fingerprint(permuted) == \
+        assert circuit_fingerprint(permuted) != \
             circuit_fingerprint(circuit)
+        as_built = Pipeline.from_circuit(circuit, workload="covar")
+        rebuilt = Pipeline.from_circuit(permuted, workload="covar")
+        assert as_built.simulate().cycles == 1137
+        assert rebuilt.simulate().cycles == 1138
+
+    def test_same_request_builds_the_same_circuit_in_every_process(self):
+        # An identity of the circuit as built is only useful if every
+        # process builds the same circuit: covar's task order once
+        # followed object addresses, which split its equal circuits.
+        code = ("from repro import Pipeline\n"
+                "from repro.core.serialize import circuit_fingerprint\n"
+                "print(circuit_fingerprint(Pipeline('covar').optimize("
+                "'localize,banking=2,fusion,tuning').circuit))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        prints = {subprocess.run(
+            [sys.executable, "-c", code], check=True, text=True,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        ).stdout for seed in ("0", "1", "2")}
+        assert len(prints) == 1
 
     def test_display_name_excluded(self):
         data = circuit_to_dict(_optimized_circuit())
@@ -66,14 +89,6 @@ class TestFingerprint:
         rebuilt = circuit_from_dict(circuit_to_dict(circuit))
         assert circuit_fingerprint(rebuilt) == \
             circuit_fingerprint(circuit)
-
-    def test_canonical_form_is_fixed_point(self):
-        circuit = _optimized_circuit()
-        canon = canonical_circuit(circuit)
-        assert circuit_fingerprint(canon) == \
-            circuit_fingerprint(circuit)
-        assert circuit_to_dict(canonical_circuit(canon)) == \
-            circuit_to_dict(canon)
 
     def test_const_value_change_misses(self):
         data = circuit_to_dict(_optimized_circuit())
@@ -108,25 +123,6 @@ class TestFingerprint:
     def test_pass_pipeline_changes_fingerprint(self):
         assert circuit_fingerprint(Pipeline("saxpy").circuit) != \
             circuit_fingerprint(_optimized_circuit())
-
-
-class TestCanonicalVsGolden:
-    """Canonical-form execution reproduces the PR-1 seed goldens where
-    the canonical order happens to match the as-built order's timing
-    (arbitration ties make other workloads differ by a few cycles —
-    that is exactly why the engine always simulates the canonical
-    form)."""
-
-    def test_baseline_cycles_match_golden(self):
-        with open(GOLDEN_PATH) as fh:
-            golden = json.load(fh)
-        for name in ("saxpy", "fib"):
-            pipe = Pipeline(name)
-            canon = canonical_circuit(pipe.circuit)
-            run = Pipeline.from_circuit(canon, workload=name).simulate()
-            assert run.sim.cycles == golden[f"{name}/baseline"]["cycles"]
-            assert list(run.sim.results) == \
-                golden[f"{name}/baseline"]["results"]
 
 
 class TestKeys:
@@ -178,6 +174,34 @@ class TestKeys:
         assert [p.source for p in again.points] == \
             ["cache-index", "cache-index"]
         assert all(p.verified is True for p in again.points)
+
+
+class TestOlderStores:
+    def test_v1_cache_dir_is_a_clean_miss(self, tmp_path, monkeypatch):
+        # A cache written under repro.dse-cache/v1 (objects holding
+        # SimStats and canonical-rebuild cycle counts) keys and stamps
+        # everything with that schema, so a v2 sweep misses it
+        # cleanly: nothing reads as corrupt, every point is fresh.
+        import repro.dse.cache as cache_mod
+        root = str(tmp_path / "c")
+
+        def sweep():
+            return explore("saxpy", GridSpace({"banks": [1, 2]}),
+                           pipeline="localize,banking={banks}",
+                           workers=1, cache=root)
+
+        monkeypatch.setattr(cache_mod, "CACHE_SCHEMA",
+                            "repro.dse-cache/v1")
+        sweep()
+        monkeypatch.undo()
+        with open(os.path.join(root, "index.json")) as fh:
+            assert json.load(fh)["schema"] == "repro.dse-cache/v1"
+
+        report = sweep()
+        assert [p.source for p in report.points] == ["fresh", "fresh"]
+        assert report.cache["object_corrupt"] == 0
+        assert report.cache["object_hits"] == 0
+        assert report.cache["index_hits"] == 0
 
 
 class TestResultCache:

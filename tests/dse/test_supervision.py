@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from repro.api import EvaluationRequest
 from repro.dse import GridSpace, RetryPolicy, SweepJournal, explore, \
     resume
 from repro.dse.engine import _evaluate_group
@@ -122,10 +123,7 @@ class TestRetryClassification:
             raise ValueError("wired to fail")
 
         monkeypatch.setattr(engine_mod, "get_workload", boom)
-        out = _evaluate_group([{
-            "index": 0, "workload": "saxpy", "variant": "base",
-            "pass_spec": "localize", "sim": {"kernel": "event"},
-            "check": True, "cache_root": None}])[0]
+        out = _evaluate_group([_payload("localize")])[0]
         doc = out["error"]
         assert doc["error"] == "ValueError"
         assert doc["family"] == "deterministic"
@@ -134,14 +132,19 @@ class TestRetryClassification:
                    for line in doc["traceback"])
 
     def test_repro_error_documents_carry_family(self):
-        out = _evaluate_group([{
-            "index": 0, "workload": "saxpy", "variant": "base",
-            "pass_spec": "no_such_pass", "sim": {"kernel": "event"},
-            "check": True, "cache_root": None}])[0]
+        out = _evaluate_group([_payload("no_such_pass")])[0]
         doc = out["error"]
         assert doc["error"] == "ReproError"  # unknown pass name
         assert doc["family"] == "deterministic"
         assert "traceback" not in doc  # expected errors stay terse
+
+
+def _payload(passes: str) -> dict:
+    """A one-point worker payload for saxpy under ``passes``."""
+    request = EvaluationRequest(workload="saxpy", passes=passes,
+                                sim={"kernel": "event"})
+    return {"index": 0, "request": request.to_json(),
+            "cache_root": None}
 
 
 def _interrupted_sweep(sweeps_dir: str):
@@ -190,8 +193,43 @@ class TestInterruptAndResume:
                          sweeps_dir=str(tmp_path / "b"), workers=1)
         assert resumed.pareto == baseline.pareto
         for a, b in zip(baseline.points, resumed.points):
-            assert (a.cycles, a.stats, a.synth) == \
-                (b.cycles, b.stats, b.synth)
+            assert (a.cycles, a.verified, a.synth) == \
+                (b.cycles, b.verified, b.synth)
+
+    def test_resume_restores_points_recorded_with_stats(self, tmp_path):
+        # Journals written before sweep points dropped SimStats carry a
+        # `stats` entry in their done documents, and their cycle
+        # counts came from the canonical rebuild the old evaluator
+        # simulated.  They still resume: settled points come back with
+        # their recorded cycles, the rest are evaluated now.
+        sweeps = str(tmp_path / "sweeps")
+        exc = _interrupted_sweep(sweeps)
+        path = os.path.join(sweeps, exc.sweep_id, "journal.jsonl")
+        recorded = {}
+        lines = []
+        with open(path) as fh:
+            for line in fh:
+                rec = json.loads(line)
+                if rec.get("ev") == "done":
+                    point = rec["point"]
+                    point["cycles"] += 1   # an old-evaluator count
+                    point["stats"] = {"kernel": "compiled",
+                                      "cycles": point["cycles"]}
+                    recorded[point["index"]] = point["cycles"]
+                lines.append(json.dumps(rec, sort_keys=True,
+                                        separators=(",", ":")) + "\n")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        assert recorded
+
+        report = resume(exc.sweep_id, sweeps_dir=sweeps, workers=1)
+        assert report.counts["ok"] == 4
+        assert report.counts["resumed"] == len(recorded)
+        for index, cycles in recorded.items():
+            point = report.point(index)
+            assert point.source == "journal"
+            assert point.cycles == cycles
+            assert "stats" not in point.to_json()
 
     def test_resume_of_complete_sweep_is_pure_restore(self, tmp_path):
         sweeps = str(tmp_path / "sweeps")

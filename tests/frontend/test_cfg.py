@@ -5,6 +5,7 @@ import pytest
 from repro.frontend import compile_minic
 from repro.frontend.builder import IRBuilder
 from repro.frontend import cfg
+from repro.frontend.ir import BasicBlock
 from repro.types import I32
 
 
@@ -96,6 +97,33 @@ class TestLoops:
         inner = min(loops, key=lambda l: len(l.blocks))
         body = next(b for b in inner.blocks if b is not inner.header)
         assert cfg.loop_of_block(loops, body) is inner
+
+    def test_loop_order_ignores_block_hashes(self, monkeypatch):
+        # Loop order becomes task order in the built circuit, so it
+        # must not follow the iteration order of a set of blocks: that
+        # follows their hashes, i.e. their addresses in this process.
+        source = """
+array a: i32[8];
+array b: i32[8];
+array c: i32[8];
+func main(n: i32) {
+  for (i = 0; i < n; i = i + 1) { a[i] = i; }
+  for (j = 0; j < n; j = j + 1) { b[j] = j; }
+  for (k = 0; k < n; k = k + 1) { c[k] = k; }
+}
+"""
+
+        def headers():
+            module = compile_minic(source)
+            return [loop.header.name
+                    for loop in cfg.find_loops(module.main)]
+
+        first = headers()
+        assert len(first) == 3
+        for salt in range(5):
+            monkeypatch.setattr(BasicBlock, "__hash__",
+                                lambda self, s=salt: hash((s, self.name)))
+            assert headers() == first
 
     def test_no_loops_in_straight_line(self):
         module = compile_minic(

@@ -28,6 +28,7 @@ import pytest
 
 from repro.api import execute
 from repro.api.requests import EVAL_SCHEMA, EvaluationRequest
+from repro.dse import EXPLORE_SCHEMA, GridSpace, explore
 from repro.dse.engine import PointResult, RetryPolicy
 from repro.errors import ReproError
 from repro.serve import (
@@ -283,6 +284,28 @@ class TestExploreAndReport:
         assert report["pareto"], "a 2-point sweep has a frontier"
         assert set(report["scheduler"]["counters"]) == \
             set(COUNTER_KEYS)
+
+    def test_served_sweep_matches_local_explore(self, server):
+        # A sim.* axis, which the daemon once rejected for every point:
+        # served and local sweeps plan and evaluate the same requests,
+        # so their point documents agree except in provenance.
+        grid = {"banks": [1, 2], "sim.loop_invocation_window": [1, 2]}
+        template = "localize,banking={banks}"
+        served = client_for(server()).explore(
+            {"workload": "saxpy", "grid": grid, "pipeline": template})
+        local = explore("saxpy", GridSpace(grid), pipeline=template,
+                        workers=1, cache=None)
+        provenance = ("source", "key", "fingerprint", "wall_s",
+                      "attempts")
+
+        def outcome(doc):
+            return {k: v for k, v in doc.items() if k not in provenance}
+
+        assert served["schema"] == EXPLORE_SCHEMA
+        assert [p["status"] for p in served["points"]] == ["ok"] * 4
+        assert [outcome(p) for p in served["points"]] == \
+            [outcome(p.to_json()) for p in local.points]
+        assert served["pareto"] == local.pareto
 
     def test_explore_spec_validated(self, server):
         client = client_for(server())

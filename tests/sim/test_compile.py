@@ -47,7 +47,7 @@ class TestArtifactCache:
 
     def test_fingerprint_cache_shared_across_equal_builds(self):
         # Two independent builds of the same workload/config hash to
-        # the same canonical fingerprint, so the second compile is a
+        # the same fingerprint, so the second compile is a
         # cache hit returning the same artifact object.
         _, c1 = _build()
         _, c2 = _build()
@@ -56,14 +56,12 @@ class TestArtifactCache:
         assert simcompile.cache_stats()["entries"] == 1
 
     def test_precompile_seeds_cache(self):
-        from repro.core.serialize import canonical_circuit, \
-            circuit_fingerprint
+        from repro.core.serialize import circuit_fingerprint
         _, circuit = _build()
-        canon = canonical_circuit(circuit)
-        fp = circuit_fingerprint(canon)
-        art = simcompile.precompile(canon, fp)
+        fp = circuit_fingerprint(circuit)
+        art = simcompile.precompile(circuit, fp)
         assert art.fingerprint == fp
-        assert simcompile.compiled_for(canon) is art
+        assert simcompile.compiled_for(circuit) is art
 
     def test_simulate_reuses_artifact_across_runs(self):
         w, circuit = _build("fib", "baseline")

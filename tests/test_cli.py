@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.sim import SimParams
 
 SRC = """
 array x: f32[16];
@@ -263,6 +264,22 @@ class TestFuzzCommand:
         assert "unknown workload" in capsys.readouterr().err
 
 
+class TestMaxCyclesDefault:
+    # fuzz once set its shorter budget with set_defaults() on the
+    # --max-cycles action every command shares, which made it every
+    # command's default.
+    @pytest.mark.parametrize("argv, expected", [
+        (["simulate", "k.mc"], SimParams.max_cycles),
+        (["explore", "saxpy"], SimParams.max_cycles),
+        (["client", "evaluate", "fib"], SimParams.max_cycles),
+        (["client", "explore", "fib"], SimParams.max_cycles),
+        (["fuzz"], 2_000_000),
+    ], ids=["simulate", "explore", "client-evaluate", "client-explore",
+            "fuzz"])
+    def test_parsed_default(self, argv, expected):
+        assert build_parser().parse_args(argv).max_cycles == expected
+
+
 class TestExploreCommand:
     ARGS = ["explore", "saxpy", "--grid", "banks=1,2",
             "--pipeline", "localize,banking={banks}",
@@ -276,7 +293,7 @@ class TestExploreCommand:
                                  "--json", jsonp, "--md", mdp]) == 0
         capsys.readouterr()
         cold = json.load(open(jsonp))
-        assert cold["schema"] == "repro.explore/v1"
+        assert cold["schema"] == "repro.explore/v2"
         assert cold["counts"] == {"points": 2, "ok": 2, "failed": 0,
                                   "fresh": 2, "cache_hits": 0,
                                   "resumed": 0, "quarantined": 0}
@@ -284,17 +301,20 @@ class TestExploreCommand:
         assert "## Pareto frontier" in md
 
         # Warm run: every point served from the request index, with
-        # bit-identical stats documents.
+        # bit-identical point documents apart from provenance.
         assert main(self.ARGS + ["--cache-dir", cache,
                                  "--json", jsonp]) == 0
         capsys.readouterr()
         warm = json.load(open(jsonp))
         assert warm["counts"]["cache_hits"] == 2
         assert warm["counts"]["fresh"] == 0
+        provenance = ("source", "key", "fingerprint", "wall_s",
+                      "attempts")
         for a, b in zip(cold["points"], warm["points"]):
             assert b["source"] == "cache-index"
-            assert b["stats"] == a["stats"]
-            assert b["cycles"] == a["cycles"]
+            assert "cycles" in b and "stats" not in b
+            assert {k: v for k, v in b.items() if k not in provenance} \
+                == {k: v for k, v in a.items() if k not in provenance}
 
     def test_summary_output(self, tmp_path, capsys):
         assert main(self.ARGS + ["--cache-dir",
