@@ -7,8 +7,8 @@ EXPERIMENTS.md documents this substrate).  SAXPY saturates early
 (memory bound), STENCIL/IMG-SCALE/FIB scale further.
 """
 
+from repro.api import evaluate
 from repro.bench.configs import localization_stack, tiling_stack
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 
 NAMES = ["stencil", "saxpy", "img_scale", "fib", "msort"]
@@ -23,11 +23,10 @@ def _run():
     rows = []
     curves = {}
     for name in NAMES:
-        base = run_workload(name, _substrate(), "1T")
+        base = evaluate(name, _substrate())
         speeds = {1: 1.0}
         for tiles in TILES:
-            r = run_workload(name, _substrate() + tiling_stack(tiles),
-                             f"{tiles}T")
+            r = evaluate(name, _substrate() + tiling_stack(tiles))
             speeds[tiles] = base.time_us / r.time_us
         curves[name] = speeds
         rows.append([name, base.cycles] +

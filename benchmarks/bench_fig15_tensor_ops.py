@@ -7,8 +7,8 @@ paper's Figure 13 style), compared against scalar implementations of
 the same tile math.
 """
 
+from repro.api import evaluate
 from repro.bench.configs import tensor_stack
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 
 
@@ -17,8 +17,8 @@ def _run():
     speedups = {}
 
     # RELU[T]: scalar baseline -> TensorOps pass rewrites the loop.
-    base = run_workload("relu_t")
-    opt = run_workload("relu_t", tensor_stack(2, 2), "tensor_pass")
+    base = evaluate("relu_t")
+    opt = evaluate("relu_t", tensor_stack(2, 2))
     assert opt.pass_log[0].details["tensorized"], \
         "TensorOps failed to match the scalar ReLU loop"
     speedups["relu_t"] = base.time_us / opt.time_us
@@ -28,8 +28,8 @@ def _run():
 
     # 2MM[T], CONV[T]: tensor-intrinsic source vs scalar tile math.
     for name in ("2mm_t", "conv_t"):
-        base = run_workload(name)
-        opt = run_workload(name, config="tensor_src", variant="tensor")
+        base = evaluate(name)
+        opt = evaluate(name, variant="tensor")
         speedups[name] = base.time_us / opt.time_us
         rows.append([name, "tensor intrinsics", base.cycles,
                      opt.cycles, round(opt.cycles / base.cycles, 2),

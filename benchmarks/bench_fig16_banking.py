@@ -7,8 +7,8 @@ pipelining the execution model allows (loop_invocation_window=4, see
 EXPERIMENTS.md).
 """
 
+from repro.api import evaluate
 from repro.bench.configs import banking_stack
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 from repro.sim import SimParams
 
@@ -24,11 +24,10 @@ def _run():
     rows = []
     curves = {}
     for name in NAMES:
-        base = run_workload(name, params=_params())
+        base = evaluate(name, params=_params())
         speeds = {1: 1.0}
         for banks in BANKS:
-            r = run_workload(name, banking_stack(banks),
-                             f"{banks}B", params=_params())
+            r = evaluate(name, banking_stack(banks), _params())
             speeds[banks] = base.time_us / r.time_us
         curves[name] = speeds
         rows.append([name, base.cycles] +

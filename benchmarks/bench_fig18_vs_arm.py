@@ -7,8 +7,8 @@ The tensor workloads use the Tensor2D function units (the paper's
 compute-density argument).
 """
 
+from repro.api import evaluate
 from repro.bench.configs import all_opts_for
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 from repro.cpu.arm_model import ArmA9Model
 from repro.workloads import WORKLOADS
@@ -24,13 +24,13 @@ def _run():
     for name in NAMES:
         w = WORKLOADS[name]
         if name in _TENSOR_SRC:
-            acc = run_workload(name, config="tensor", variant="tensor")
+            acc = evaluate(name, variant="tensor")
         else:
-            acc = run_workload(name, all_opts_for(name), "stacked")
+            acc = evaluate(name, all_opts_for(name))
         cpu = ArmA9Model(w.module()).run(w.fresh_memory(), *w.args)
         speedup = cpu.time_us / acc.time_us
         speedups[name] = speedup
-        rows.append([name, acc.cycles, round(acc.fpga_mhz),
+        rows.append([name, acc.cycles, round(acc.synth.fpga_mhz),
                      cpu.cycles, round(speedup, 2)])
     return rows, speedups
 

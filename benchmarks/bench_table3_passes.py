@@ -2,6 +2,7 @@
 improvement range), regenerated from live runs of representative
 workloads."""
 
+from repro.api import evaluate
 from repro.bench.configs import (
     banking_stack,
     fusion_stack,
@@ -9,26 +10,25 @@ from repro.bench.configs import (
     tensor_stack,
     tiling_stack,
 )
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 
 PASSES = [
     ("Op fusion", "Timing", ["spmv", "covar", "gemm"],
-     lambda name: (run_workload(name),
-                   run_workload(name, fusion_stack(), "f"))),
+     lambda name: (evaluate(name),
+                   evaluate(name, fusion_stack()))),
     ("Task tiling", "Spatial", ["stencil", "saxpy", "fib"],
-     lambda name: (run_workload(name, localization_stack(4), "sub"),
-                   run_workload(name, localization_stack(4)
-                                + tiling_stack(8), "t"))),
+     lambda name: (evaluate(name, localization_stack(4)),
+                   evaluate(name, localization_stack(4)
+                            + tiling_stack(8)))),
     ("Tensor ops", "Higher Ops", ["relu_t"],
-     lambda name: (run_workload(name),
-                   run_workload(name, tensor_stack(), "t"))),
+     lambda name: (evaluate(name),
+                   evaluate(name, tensor_stack()))),
     ("Memory localization", "Timing&Spatial", ["spmv", "saxpy"],
-     lambda name: (run_workload(name),
-                   run_workload(name, localization_stack(), "l"))),
+     lambda name: (evaluate(name),
+                   evaluate(name, localization_stack()))),
     ("Cache banking", "Timing&Spatial", ["fft", "3mm"],
-     lambda name: (run_workload(name),
-                   run_workload(name, banking_stack(4), "b"))),
+     lambda name: (evaluate(name),
+                   evaluate(name, banking_stack(4)))),
 ]
 
 PAPER = {

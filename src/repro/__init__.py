@@ -23,8 +23,8 @@ The package mirrors the paper's toolflow (Figure 3):
 __version__ = "0.1.0"
 
 # Convenience top-level API (the quickstart surface).  The Pipeline
-# facade is the front door; the hand-wired building blocks below it
-# remain public as thin compatibility shims.
+# facade and the request path (execute) are the front door; the
+# building blocks below stay public for tools that need one stage.
 from .api import (  # noqa: E402,F401
     Evaluation,
     EvaluationRequest,

@@ -1,10 +1,10 @@
 """The unified toolflow facade: ``Pipeline`` and ``Evaluation``.
 
-Every consumer of the toolchain — the CLI, the bench harness, the
-design-space-exploration engine, and the examples — used to hand-wire
-the same four calls: ``translate_module`` -> ``PassManager`` ->
-``simulate`` -> ``synthesize``.  :class:`Pipeline` packages that flow
-behind one chainable entry point::
+Every consumer of the toolchain — the CLI, the benchmarks, the
+design-space-exploration engine, and the examples — needs the same
+four calls: ``translate_module`` -> ``PassManager`` -> ``simulate``
+-> ``synthesize``.  :class:`Pipeline` packages that flow behind one
+chainable entry point::
 
     from repro import Pipeline
 
@@ -23,9 +23,11 @@ returns the Pipeline so the chain reads like the paper's Figure 1;
 ``synthesize()`` (or :meth:`Pipeline.evaluation`) returns the typed
 :class:`Evaluation` aggregate.
 
-The old hand-wired pattern keeps working — the four building blocks
-remain public and `repro.bench.run_workload` is now a thin shim over
-this facade.
+The four building blocks stay public for tools that need a piece of
+the flow.  Every evaluation — the CLI's ``simulate``/``report``/
+``bench``, the ``repro.serve`` daemon (lane-groups included), DSE
+sweep points and the paper-figure benchmarks — goes through
+:func:`run_request` (wrapped by :func:`execute`) or this facade.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
-from ..errors import (ReproError, WorkloadError, error_document,
-                      family_for)
+from ..errors import ReproError, WorkloadError, failure_document
 from ..frontend import compile_minic, translate_module
 from ..frontend.interp import Interpreter, Memory
 from ..frontend.ir import Module
@@ -45,6 +46,7 @@ from ..rtl import SynthesisReport, synthesize
 from ..sim import (BatchResult, SimParams, SimResult, simulate,
                    simulate_batch)
 from ..types import FloatType
+from ..util.rng import seed_memory
 from ..workloads import WORKLOADS, Workload
 from .requests import (  # noqa: F401  (re-exported wire schema)
     EVAL_SCHEMA,
@@ -250,19 +252,12 @@ class Pipeline:
         """
         if kernel is not None:
             params = replace(params or SimParams(), kernel=kernel)
-        if self.workload is not None:
-            if args is None:
-                args = self.workload.args_for(self.variant)
-            if memory is None:
-                memory = self.workload.fresh_memory(self.variant)
-        else:
-            if memory is None:
-                memory = Memory(self.module)
-            args = args or ()
-        golden: Optional[Memory] = None
-        if check and self.workload is None:
-            golden = Memory(self.module)
-            golden.words[:] = memory.words
+        if args is None:
+            args = self.default_args()
+        if memory is None:
+            memory = self._fresh_memory()
+        initial = list(memory.words) \
+            if check and self.workload is None else None
         tel = telemetry.tracer()
         with tel.span("pipeline.simulate",
                       kernel=(params.kernel if params
@@ -278,44 +273,69 @@ class Pipeline:
             self.verified = None
             return self
         with tel.span("pipeline.verify"):
-            if self.workload is not None:
-                self.workload.verify(memory, self.variant)  # raises
-                self.verified = True
-            else:
-                returned = Interpreter(self.module, golden).run(*args)
-                if returned is None:
-                    expected: List = []
-                elif isinstance(returned, (list, tuple)):
-                    expected = list(returned)
-                else:
-                    expected = [returned]
-                self.verified = (memory.words == golden.words
-                                 and list(self.sim.results) == expected)
-                if not self.verified:
-                    raise WorkloadError(
-                        f"{self.name}: simulated memory/results "
-                        f"diverge from the reference interpreter")
+            self._verify(memory, initial, args, self.sim.results)
+        self.verified = True
         return self
+
+    def default_args(self) -> List:
+        """Root arguments of a run given none: the workload's, or
+        none for source pipelines."""
+        return list(self.workload.args_for(self.variant)) \
+            if self.workload is not None else []
+
+    def _fresh_memory(self, seed: Optional[int] = None) -> Memory:
+        """A run's input image: the workload's own, else the module's
+        arrays (pseudo-randomly filled from ``seed`` when given)."""
+        if self.workload is not None:
+            return self.workload.fresh_memory(self.variant)
+        memory = Memory(self.module)
+        seed_memory(memory, seed)
+        return memory
+
+    def _verify(self, memory: Memory, initial: List, args: Sequence,
+                results: Sequence, lane: Optional[int] = None) -> None:
+        """Check one finished run: workload pipelines against the
+        workload's golden data, the others against the reference
+        interpreter run on the run's input image ``initial``.  Raises
+        :class:`~repro.errors.WorkloadError` on a divergence."""
+        if self.workload is not None:
+            self.workload.verify(memory, self.variant)
+            return
+        golden = Memory(self.module)
+        golden.words[:] = initial
+        returned = Interpreter(self.module, golden).run(*args)
+        if returned is None:
+            expected: List = []
+        elif isinstance(returned, (list, tuple)):
+            expected = list(returned)
+        else:
+            expected = [returned]
+        if memory.words != golden.words or list(results) != expected:
+            where = "" if lane is None else f" lane {lane}"
+            raise WorkloadError(
+                f"{self.name}:{where} simulated memory/results diverge "
+                f"from the reference interpreter")
 
     # -- stage "sim", batched --------------------------------------------
     def evaluate_many(self, args_list: Optional[Sequence[Sequence]] = None,
                       params: Optional[SimParams] = None, *,
                       kernel: Optional[str] = None,
-                      check: bool = True) -> BatchResult:
+                      check: bool = True,
+                      seed: Optional[int] = None) -> BatchResult:
         """Simulate N independent workload instances in one batched run.
 
         Each entry of ``args_list`` is one lane's root-argument list;
         ``None`` replicates the pipeline's default arguments across
-        ``params.batch`` lanes (which must then be set).  All lanes
+        ``params.batch`` lanes (which must then be set).  ``seed``
+        fills every lane's memory image of a source pipeline, as
+        ``repro simulate --seed`` does for one run.  All lanes
         share this pipeline's circuit — same fingerprint, so the whole
         batch steps through one compiled kernel
         (:func:`repro.sim.simulate_batch`); per-lane results and
         memory are bit-identical to N independent runs.
 
-        With ``check=True`` every surviving lane is verified: workload
-        pipelines run the workload golden check per lane, module
-        pipelines re-run the reference interpreter on each lane's
-        input snapshot.  A diverging lane raises
+        With ``check=True`` every surviving lane is verified like a
+        scalar :meth:`simulate`.  A diverging lane raises
         :class:`~repro.errors.WorkloadError` naming the lane;
         otherwise ``BatchResult.verified`` records the per-lane
         outcomes (failed lanes stay ``False``).
@@ -327,17 +347,12 @@ class Pipeline:
             if not params.batch:
                 raise ReproError(
                     "evaluate_many needs args_list or SimParams.batch")
-            default = self.workload.args_for(self.variant) \
-                if self.workload is not None else ()
-            args_list = [list(default) for _ in range(params.batch)]
+            args_list = [self.default_args()
+                         for _ in range(params.batch)]
         else:
             args_list = [list(a) for a in args_list]
         n = len(args_list)
-        if self.workload is not None:
-            memories = [self.workload.fresh_memory(self.variant)
-                        for _ in range(n)]
-        else:
-            memories = [Memory(self.module) for _ in range(n)]
+        memories = [self._fresh_memory(seed) for _ in range(n)]
         snapshots = [list(m.words) for m in memories] if check else None
         with telemetry.tracer().span("pipeline.simulate_batch",
                                      lanes=n) as _sp:
@@ -351,25 +366,8 @@ class Pipeline:
         for i in range(n):
             if batch.results[i] is None:
                 continue
-            mem = memories[i]
-            if self.workload is not None:
-                self.workload.verify(mem, self.variant)  # raises on fail
-            else:
-                golden = Memory(self.module)
-                golden.words[:] = snapshots[i]
-                returned = Interpreter(self.module, golden).run(
-                    *args_list[i])
-                if returned is None:
-                    expected: List = []
-                elif isinstance(returned, (list, tuple)):
-                    expected = list(returned)
-                else:
-                    expected = [returned]
-                if (mem.words != golden.words
-                        or list(batch.results[i].results) != expected):
-                    raise WorkloadError(
-                        f"{self.name}: lane {i} diverges from the "
-                        f"reference interpreter")
+            self._verify(memories[i], snapshots[i], args_list[i],
+                         batch.results[i].results, lane=i)
             verified[i] = True
         batch.verified = verified
         return batch
@@ -430,15 +428,9 @@ def _looks_like_source(text: str) -> bool:
 
 def sim_wire_dict(params: Optional[SimParams]) -> Dict[str, object]:
     """A SimParams as a wire-safe ``sim`` dict (fault plans as JSON;
-    :class:`EvaluationRequest` drops the default-valued fields).
-    Raises for host-local callbacks that cannot cross a process
-    boundary."""
+    :class:`EvaluationRequest` drops the default-valued fields)."""
     if params is None:
         return {}
-    if params.heartbeat is not None or params.heartbeat_cycles:
-        raise ReproError(
-            "SimParams.heartbeat is host-local and cannot be "
-            "serialized into an EvaluationRequest")
     sim = {name: getattr(params, name) for name in SIM_FIELDS}
     if params.faults is not None:
         sim["faults"] = params.faults.to_json()
@@ -548,18 +540,14 @@ def run_request(request: EvaluationRequest, *,
             args_list = [coerce_request_args(pipe.module, request.args)
                          ] * (params.batch or 1)
         batch = pipe.evaluate_many(args_list, params,
-                                   check=request.check)
+                                   check=request.check, seed=request.seed)
         pipe.synthesize()
         return pipe, batch
     args = None
-    memory = None
     if request.args is not None:
         args = coerce_request_args(pipe.module, request.args)
-    if request.source is not None and request.seed is not None:
-        from ..util.rng import seed_memory
-        memory = Memory(pipe.module)
-        seed_memory(memory, request.seed)
-    pipe.simulate(params, args=args, memory=memory,
+    pipe.simulate(params, args=args,
+                  memory=pipe._fresh_memory(request.seed),
                   check=request.check)
     return pipe, pipe.synthesize()
 
@@ -604,10 +592,8 @@ def execute(request: EvaluationRequest, *,
     try:
         pipe, result = run_request(request, pipeline=pipeline)
     except ReproError as exc:
-        doc = error_document(exc)
-        doc["family"] = family_for(exc)
         return EvaluationResponse(
-            status="error", request_key=key, error=doc,
+            status="error", request_key=key, error=failure_document(exc),
             meta={"wall_s": round(time.perf_counter() - t0, 4)})
     meta = {"wall_s": round(time.perf_counter() - t0, 4)}
     if isinstance(result, BatchResult):

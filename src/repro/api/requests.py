@@ -87,7 +87,7 @@ class EvaluationRequest:
     sim: Dict[str, object] = field(default_factory=dict)
     check: bool = True
     #: Pseudo-random memory seeding for ``source`` requests (mirrors
-    #: ``repro simulate --seed``); rejected for batched requests.
+    #: ``repro simulate --seed``); a batched request seeds every lane.
     seed: Optional[int] = None
     name: Optional[str] = None
 
@@ -114,10 +114,6 @@ class EvaluationRequest:
             object.__setattr__(
                 self, "args_list",
                 tuple(tuple(a) for a in self.args_list))
-        if self.seed is not None and self.is_batch:
-            raise ReproError(
-                "seed= is a scalar-request knob; batched requests "
-                "build their own per-lane memories")
         if self.seed is not None and self.workload is not None:
             raise ReproError(
                 "seed= seeds source-request memories; workloads own "

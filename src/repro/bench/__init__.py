@@ -1,7 +1,6 @@
 """Experiment harness regenerating every table and figure in the paper
 (see DESIGN.md section 4 for the experiment index)."""
 
-from .harness import RunResult, run_workload  # noqa: F401
 from .configs import (  # noqa: F401
     all_opts_for,
     banking_stack,

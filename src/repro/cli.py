@@ -48,43 +48,16 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import telemetry
 from .errors import EXIT_CODES, ReproError, error_document, \
     exit_code_for
-from .frontend import compile_minic, translate_module
-from .frontend.interp import Interpreter, Memory
-from .opt import PassManager
-from .rtl import emit_chisel, emit_verilog, synthesize
+from .rtl import emit_chisel, emit_verilog
 from .core.serialize import save_circuit, to_dot
-from .sim import FaultPlan, SimParams, simulate, simulate_batch
-from .types import FloatType
-from .util.rng import seed_memory
-from .opt import parse_passes as _parse_passes
-from .verify import DEFAULT_FUZZ_PASSES, passes_from_spec
-
-
-def _parse_args_values(module, raw: Sequence[str]) -> List:
-    main = module.main
-    if len(raw) != len(main.args):
-        raise ReproError(
-            f"@main takes {len(main.args)} argument(s) "
-            f"({', '.join(f'{a.name}: {a.type}' for a in main.args)}), "
-            f"got {len(raw)}")
-    values: List = []
-    for text, arg in zip(raw, main.args):
-        if isinstance(arg.type, FloatType):
-            values.append(float(text))
-        else:
-            values.append(int(text))
-    return values
-
-
-def _seed_memory(memory: Memory, seed: Optional[int]) -> None:
-    if seed is None:
-        return
-    seed_memory(memory, seed)
+from .sim import FaultPlan, SimParams
+from .opt import parse_passes
+from .verify import DEFAULT_FUZZ_PASSES
 
 
 def _fault_plan_from(args) -> Optional[FaultPlan]:
@@ -100,13 +73,12 @@ def _fault_plan_from(args) -> Optional[FaultPlan]:
     return None
 
 
-def _load_circuit_pipeline(args):
+def _load_pipeline(args):
+    """``args.file`` translated and run through ``args.passes``."""
+    from .api import Pipeline
     with open(args.file) as fh:
         source = fh.read()
-    module = compile_minic(source, filename=args.file)
-    circuit = translate_module(module, name=args.file)
-    log = PassManager(_parse_passes(args.passes)).run(circuit)
-    return module, circuit, log
+    return Pipeline(source, name=args.file).optimize(args.passes or None)
 
 
 def _resolve_observe(args) -> str:
@@ -121,13 +93,14 @@ def _resolve_observe(args) -> str:
 
 
 def cmd_translate(args) -> int:
-    module, circuit, log = _load_circuit_pipeline(args)
+    pipe = _load_pipeline(args)
+    circuit = pipe.circuit
     print(circuit)
     for task in circuit.tasks.values():
         print(f"  {task.name:<28} kind={task.kind:<5} "
               f"nodes={len(task.dataflow.nodes):<4} "
               f"tiles={task.num_tiles}")
-    for result in log:
+    for result in pipe.pass_log:
         print(f"  pass {result.pass_name}: changed={result.changed} "
               f"dN={result.delta_nodes} dE={result.delta_edges}")
     if args.json:
@@ -180,8 +153,6 @@ def simulate_request_from(args, source: str):
 
 
 def cmd_simulate(args) -> int:
-    import time
-
     from .api import Pipeline, run_request
 
     if args.trace_out and args.kernel == "dense":
@@ -190,10 +161,6 @@ def cmd_simulate(args) -> int:
             "(rerun without --kernel dense)")
     with open(args.file) as fh:
         source = fh.read()
-    if args.batch and args.batch > 1 and args.seed is not None:
-        # Seeded batches are not wire-expressible (every lane owns its
-        # memory image), so this combination keeps the direct path.
-        return _simulate_batched_seeded(args, source)
     request, plan = simulate_request_from(args, source)
     if plan is not None:
         print(f"faults: {plan.describe()}")
@@ -263,8 +230,8 @@ def cmd_simulate(args) -> int:
 
 
 def _print_batch(args, pipe, batch, t_sim: float) -> int:
-    """Report a request-path batched simulate (lanes already verified
-    by ``run_request``; a diverging lane raised)."""
+    """Report a batched simulate (``run_request`` verified every
+    surviving lane; a diverging lane raised)."""
     ok = True
     for i in range(batch.lanes):
         if batch.errors[i] is not None:
@@ -290,80 +257,8 @@ def _print_batch(args, pipe, batch, t_sim: float) -> int:
     return 0 if ok else 1
 
 
-def _simulate_batched_seeded(args, source: str) -> int:
-    """``repro simulate --batch N --seed S``: the legacy direct path
-    (seeded lane memories cannot cross the request wire)."""
-    module = compile_minic(source, filename=args.file)
-    circuit = translate_module(module, name=args.file)
-    PassManager(_parse_passes(args.passes),
-                validate_each=args.validate_each).run(circuit)
-    values = _parse_args_values(module, args.args)
-    golden = Memory(module)
-    _seed_memory(golden, args.seed)
-    Interpreter(module, golden).run(*values)
-    plan = _fault_plan_from(args)
-    params = SimParams(max_cycles=args.max_cycles, kernel=args.kernel,
-                       observe=_resolve_observe(args),
-                       trace_capacity=args.trace_capacity,
-                       faults=plan,
-                       compile_fallback=not args.no_kernel_fallback,
-                       wallclock_timeout=args.timeout)
-    if plan is not None:
-        print(f"faults: {plan.describe()}")
-    return _simulate_batched(args, module, circuit, values, golden,
-                             params)
-
-
-def _simulate_batched(args, module, circuit, values, golden,
-                      params) -> int:
-    """``repro simulate --batch N``: N identical lanes through one
-    batched run, each verified against the interpreter's golden
-    image."""
-    import time
-    from dataclasses import replace as _replace
-
-    n = args.batch
-    lanes = []
-    for _ in range(n):
-        mem = Memory(module)
-        _seed_memory(mem, args.seed)
-        lanes.append(mem)
-    t_sim = time.perf_counter()
-    batch = simulate_batch(circuit, lanes, [list(values)] * n,
-                           _replace(params, batch=n))
-    t_sim = time.perf_counter() - t_sim
-    ok = True
-    for i in range(n):
-        if batch.errors[i] is not None:
-            err = batch.errors[i]
-            print(f"lane {i}: FAILED[{err.get('error')}] "
-                  f"fingerprint={err.get('input_fingerprint')}",
-                  file=sys.stderr)
-            ok = False
-        elif lanes[i].words != golden.words:
-            print(f"lane {i}: memory MISMATCH vs interpreter",
-                  file=sys.stderr)
-            ok = False
-    cycles = [r.cycles if r is not None else None
-              for r in batch.results]
-    print(f"batch: {n} lanes, mode={batch.mode}")
-    print(f"cycles: {cycles[0] if len(set(cycles)) == 1 else cycles}")
-    first = next((r for r in batch.results if r is not None), None)
-    if first is not None and first.results:
-        print(f"returned: {first.results}")
-    print(f"behavior vs interpreter: "
-          f"{'OK (all lanes)' if ok else 'MISMATCH'}")
-    print(f"throughput: {n / t_sim:,.1f} sims/s "
-          f"({params.kernel} kernel, {t_sim:.3f}s wall)")
-    if args.stats_json:
-        batch.stats.dump_json(args.stats_json)
-        print(f"wrote {args.stats_json}")
-    return 0 if ok else 1
-
-
 def cmd_synth(args) -> int:
-    _module, circuit, _log = _load_circuit_pipeline(args)
-    report = synthesize(circuit)
+    report = _load_pipeline(args).synthesize().synth
     for key, value in report.row().items():
         print(f"  {key}: {value}")
     return 0
@@ -397,18 +292,15 @@ def cmd_bench(args) -> int:
                        kernel=args.kernel,
                        trace_capacity=args.trace_capacity)
     if args.batch and args.batch > 1:
-        import time
+        from dataclasses import replace
 
-        from .api import Pipeline
+        from .api import evaluate_many
 
-        pipe = Pipeline(args.workload, variant=args.variant)
-        pipe.optimize(args.passes or None)
         t0 = time.perf_counter()
-        batch = pipe.evaluate_many(
-            params=SimParams(observe=params.observe,
-                             kernel=params.kernel,
-                             trace_capacity=params.trace_capacity,
-                             batch=args.batch))
+        batch = evaluate_many(args.workload,
+                              params=replace(params, batch=args.batch),
+                              passes=args.passes or None,
+                              variant=args.variant)
         wall = time.perf_counter() - t0
         cyc = next(r.cycles for r in batch.results if r is not None)
         print(f"{args.workload}/{args.passes or 'baseline'}: "
@@ -428,41 +320,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .api import Pipeline
-    from .bench.harness import RunResult
+    from .api import request_for, run_request
     from .report import build_report, dump_report, render_markdown
-    passes = _parse_passes(args.passes)
-    config = args.passes or "baseline"
-    batch = None
-    pipe = Pipeline(args.workload, variant=args.variant,
-                    name=f"{args.workload}_{config}")
-    pipe.optimize(list(passes))
-    if args.batch and args.batch > 1:
-        batch = pipe.evaluate_many(
-            params=SimParams(batch=args.batch, observe="counters",
-                             kernel=args.kernel))
-        pipe.synthesize(name=args.workload)
-        first = next((r for r in batch.results if r is not None), None)
-        if first is None:
-            raise ReproError(
-                f"{args.workload}: every batch lane failed "
-                f"({(batch.errors[0] or {}).get('message', '?')})")
-        result = RunResult(
-            workload=args.workload, config=config,
-            cycles=first.cycles, fpga_mhz=pipe.synth.fpga_mhz,
-            stats=batch.stats, synth=pipe.synth,
-            pass_log=list(pipe.pass_log), variant=args.variant,
-            circuit=pipe.circuit)
-    else:
-        pipe.simulate(kernel=args.kernel)
-        pipe.synthesize(name=args.workload)
-        result = RunResult(
-            workload=args.workload, config=config,
-            cycles=pipe.sim.cycles, fpga_mhz=pipe.synth.fpga_mhz,
-            stats=pipe.sim.stats, synth=pipe.synth,
-            pass_log=list(pipe.pass_log), variant=args.variant,
-            circuit=pipe.circuit)
-    report = build_report(result, top_n=args.top, batch=batch)
+    params = SimParams(kernel=args.kernel, batch=args.batch
+                       if args.batch and args.batch > 1 else None)
+    # name= keeps table2_row.bench the workload name on --variant runs.
+    request = request_for(args.workload, args.passes or None, params,
+                          variant=args.variant, name=args.workload)
+    pipe, result = run_request(request)
+    batch = result if request.is_batch else None
+    report = build_report(pipe, args.passes or "baseline",
+                          top_n=args.top, batch=batch)
     if args.json or args.md:
         dump_report(report, json_path=args.json, md_path=args.md)
         for path in (args.json, args.md):
@@ -471,7 +339,8 @@ def cmd_report(args) -> int:
     else:
         print(render_markdown(report))
     if args.stats_json:
-        result.stats.dump_json(args.stats_json)
+        stats = batch.stats if batch is not None else pipe.sim.stats
+        stats.dump_json(args.stats_json)
         print(f"wrote {args.stats_json}")
     return 0
 
@@ -584,7 +453,7 @@ def cmd_fuzz(args) -> int:
         for name in workloads:  # fail fast on a typo
             get_workload(name)
     spec = DEFAULT_FUZZ_PASSES if args.passes is None else args.passes
-    passes_from_spec(spec)  # fail fast on a typo, before simulating
+    parse_passes(spec)  # fail fast on a typo, before simulating
     fuzzer = ConformanceFuzzer(
         pass_spec=spec, differential=args.differential,
         artifacts_dir=args.artifacts_dir,

@@ -50,13 +50,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
 from .. import telemetry
 from ..api import EvaluationRequest, build_front, execute
 from ..core.serialize import circuit_fingerprint
-from ..errors import (
-    ReproError,
-    SweepInterrupted,
-    error_document,
-    family_for,
-    unexpected_error_document,
-)
+from ..errors import ReproError, SweepInterrupted, failure_document
 from ..opt import parse_pass_specs, spec_to_string
 from ..sim import SimParams, precompile
 from ..supervise import (RetryPolicy, SupervisedPool, Task,
@@ -382,7 +376,7 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
         front = build_front(first)
         fingerprint = circuit_fingerprint(front.circuit)
     except Exception as exc:  # noqa: BLE001 - sweep must survive
-        doc = _error_doc(exc)
+        doc = failure_document(exc)
         share = (time.perf_counter() - t0) / len(payloads)
         for out in outs:
             out.update(error=dict(doc), wall_s=share)
@@ -418,7 +412,7 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
                 else:
                     out["error"] = response.error
         except Exception as exc:  # noqa: BLE001 - sweep must survive
-            out["error"] = _error_doc(exc)
+            out["error"] = failure_document(exc)
         out["wall_s"] = front_share + time.perf_counter() - t1
     if cache is not None:
         # Ship the worker-local cache tallies home: metrics registries
@@ -426,16 +420,6 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
         # aggregates these into the explore report and telemetry.
         outs[-1]["cache_counts"] = dict(cache.counts)
     return outs
-
-
-def _error_doc(exc: BaseException) -> Dict:
-    """Error document of a failed point, with its retry ``family``
-    (unexpected exceptions also carry a traceback tail)."""
-    if not isinstance(exc, ReproError):
-        return unexpected_error_document(exc)
-    doc = error_document(exc)
-    doc["family"] = family_for(exc)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +696,7 @@ def plan_points(workload_name: str, params_list: Sequence[Dict],
                                      point.pass_spec, point_sim,
                                      sim.wallclock_timeout, check)
         except ReproError as exc:
-            plan_error = point.error = _error_doc(exc)
+            plan_error = point.error = failure_document(exc)
         planned.append({
             "index": index,
             "params": params,
@@ -871,7 +855,7 @@ def resume(ref: str, *,
             request = _point_request(w.name, variant, ps.pass_spec,
                                      ps.sim, wallclock, check)
         except ReproError as exc:  # a point that failed planning
-            plan_error = point.error = _error_doc(exc)
+            plan_error = point.error = failure_document(exc)
         planned.append({
             "index": ps.index,
             "params": dict(ps.params),

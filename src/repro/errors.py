@@ -333,3 +333,14 @@ def unexpected_error_document(exc: BaseException,
         "family": family_for(exc),
         "traceback": tail,
     }
+
+
+def failure_document(exc: BaseException) -> dict:
+    """Error document of any failure, with its retry ``family``: a
+    :class:`ReproError`'s :func:`error_document`, or the traceback
+    tail of anything else (:func:`unexpected_error_document`)."""
+    if not isinstance(exc, ReproError):
+        return unexpected_error_document(exc)
+    doc = error_document(exc)
+    doc["family"] = family_for(exc)
+    return doc

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from .errors import ReproError
 from .sim.stats import SimStats
 
 REPORT_SCHEMA = "repro.report/v1"
@@ -82,8 +83,6 @@ def _counter_values(circuit, stats: SimStats) -> Dict[str, Dict[str, int]]:
     """Read back every PerfCounterBank in the circuit (the analytic
     stand-in for an AXI-lite PMU readout after the run)."""
     out: Dict[str, Dict[str, int]] = {}
-    if circuit is None:
-        return out
     for structure in circuit.structures:
         if getattr(structure, "KIND", "") == "perf_counters":
             out[structure.name] = structure.sample(stats)
@@ -137,15 +136,28 @@ def _telemetry_layer() -> Optional[Dict]:
     }
 
 
-def build_report(run, top_n: int = 10, batch=None) -> Dict:
-    """Assemble the cross-layer report document for one RunResult.
+def build_report(pipe, config: str, top_n: int = 10,
+                 batch=None) -> Dict:
+    """Assemble the cross-layer report document of a simulated and
+    synthesized :class:`~repro.api.Pipeline`; ``config`` labels its
+    pass stack.
 
-    ``batch`` optionally attaches a :class:`repro.sim.BatchResult`
-    whose lanes this run represents (``repro report --batch N``).
+    ``batch`` is the :class:`repro.sim.BatchResult` when the pipeline
+    ran batched (``repro report --batch N``): its merged stats and
+    first surviving lane stand in for the scalar run.
     """
-    stats: SimStats = run.stats
-    circuit = run.circuit
-    tasks = sorted(circuit.tasks) if circuit is not None else []
+    if batch is None:
+        run, stats = pipe.sim, pipe.sim.stats
+    else:
+        run, stats = next((r for r in batch.results if r is not None),
+                          None), batch.stats
+        if run is None:
+            raise ReproError(
+                f"{pipe.name}: every batch lane failed "
+                f"({(batch.errors[0] or {}).get('message', '?')})")
+    circuit = pipe.circuit
+    synth = pipe.synth
+    tasks = sorted(circuit.tasks)
 
     top_sources = [
         {"loc": loc, "cause": cause, "cycles": cycles}
@@ -159,7 +171,7 @@ def build_report(run, top_n: int = 10, batch=None) -> Dict:
     sim_layer = {
         "kernel": stats.kernel,
         "cycles": run.cycles,
-        "time_us": round(run.time_us, 3),
+        "time_us": round(run.cycles / synth.fpga_mhz, 3),
         "total_stall_cycles": stats.total_stall_cycles,
         "stall_cycles_by_cause": dict(sorted(
             stats.stall_cycles.items())),
@@ -184,11 +196,10 @@ def build_report(run, top_n: int = 10, batch=None) -> Dict:
                 "wall_ms": round(r.wall_ms, 2),
                 "details": _jsonify(r.details),
             }
-            for r in run.pass_log
+            for r in pipe.pass_log
         ],
     }
 
-    synth = run.synth
     synth_layer = {
         "table2_row": synth.row(),
         "pmu_overhead": {
@@ -201,9 +212,9 @@ def build_report(run, top_n: int = 10, batch=None) -> Dict:
 
     doc = {
         "schema": REPORT_SCHEMA,
-        "workload": run.workload,
-        "config": run.config,
-        "variant": run.variant,
+        "workload": pipe.workload.name if pipe.workload else pipe.name,
+        "config": config,
+        "variant": pipe.variant,
         "layers": {
             "sim": sim_layer,
             "opt": opt_layer,

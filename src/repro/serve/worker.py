@@ -19,13 +19,13 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import (EvaluationRequest, Pipeline, batch_evaluation_docs,
-                   build_front, coerce_request_args, execute)
+from ..api import (EvaluationRequest, EvaluationResponse, Pipeline,
+                   build_front, execute)
 from ..api.requests import EVAL_SCHEMA
-from ..errors import (ReproError, error_document, error_family,
-                      family_for, unexpected_error_document)
+from ..errors import ReproError, error_family, failure_document
 from ..supervise import maybe_chaos
 
 #: Hot front-ends kept per worker.  Front ends are a few MB each at
@@ -111,18 +111,8 @@ def run_payload(doc: Dict) -> Dict:
     try:
         pipe, lru = _pipeline_for(request)
         response = execute(request, pipeline=pipe)
-    except ReproError as exc:  # front-end failure outside execute()
-        out = _error_response(exc, t0)
-        out["request_key"] = request.canonical_key()
-        return out
     except Exception as exc:  # noqa: BLE001 - the daemon must survive
-        out = {"schema": EVAL_SCHEMA, "status": "error",
-               "request_key": request.canonical_key(),
-               "evaluation": None, "lanes": None,
-               "error": unexpected_error_document(exc),
-               "meta": {"wall_s": round(time.perf_counter() - t0, 4)}}
-        out["error"].setdefault("family", family_for(exc))
-        return out
+        return _error_response(exc, t0, request.canonical_key())
     out = response.to_json()
     out["meta"]["lru"] = lru
     out["meta"]["pid"] = os.getpid()
@@ -135,11 +125,11 @@ def run_group_payload(docs: Sequence[Dict]) -> List[Dict]:
     Every document shares one :meth:`EvaluationRequest.group_key`
     (the scheduler guarantees it): same design, variant, passes, sim
     config and check policy, differing only in root arguments.  The
-    group runs as ONE ``simulate_batch`` over a shared front end, and
-    each request gets back the response document a scalar
-    :func:`repro.api.execute` of that request would have produced —
-    bit-identical payload, including the request's own
-    ``canonical_key`` (PR-6's per-lane identity carried to the wire).
+    group runs as ONE batched request (one lane per request) over a
+    shared front end, and each request gets back the response
+    document a scalar :func:`repro.api.execute` of that request would
+    have produced — bit-identical payload, including the request's
+    own ``canonical_key`` (per-lane identity carried to the wire).
 
     A front-end failure fails every request in the group with the
     same error document; per-lane simulation failures fail only their
@@ -162,57 +152,33 @@ def run_group_payload(docs: Sequence[Dict]) -> List[Dict]:
     for _, request in live:
         maybe_chaos(request.describe())
     try:
-        params = base.sim_params()
         pipe, lru = _pipeline_for(base)
-        args_list = []
-        for _, request in live:
-            if request.args is not None:
-                args_list.append(
-                    coerce_request_args(pipe.module, request.args))
-            elif pipe.workload is not None:
-                args_list.append(
-                    list(pipe.workload.args_for(pipe.variant)))
-            else:
-                args_list.append([])
-        batch = pipe.evaluate_many(args_list, params, check=base.check)
-        pipe.synthesize()
-    except ReproError as exc:
-        shared = _error_response(exc, t0)
-        for i, request in live:
-            out = dict(shared)
-            out["request_key"] = request.canonical_key()
-            outs[i] = out
-        return [out for out in outs if out is not None]
+        group = replace(base, args=None, args_list=[
+            request.args if request.args is not None
+            else pipe.default_args() for _, request in live])
+        response = execute(group, pipeline=pipe)
     except Exception as exc:  # noqa: BLE001 - the daemon must survive
-        doc = unexpected_error_document(exc)
-        doc.setdefault("family", family_for(exc))
-        wall = round(time.perf_counter() - t0, 4)
-        for i, request in live:
-            outs[i] = {"schema": EVAL_SCHEMA, "status": "error",
-                       "request_key": request.canonical_key(),
-                       "evaluation": None, "lanes": None,
-                       "error": dict(doc), "meta": {"wall_s": wall}}
-        return [out for out in outs if out is not None]
-    lane_docs = batch_evaluation_docs(pipe, batch)
+        response = EvaluationResponse(status="error",
+                                      error=failure_document(exc))
     wall = round(time.perf_counter() - t0, 4)
     for lane, (i, request) in enumerate(live):
-        lane_doc = dict(lane_docs[lane])
-        lane_doc.pop("lane", None)
-        meta = {"wall_s": wall, "lru": lru, "pid": os.getpid(),
-                "coalesced": len(live), "lane": lane}
-        if "error" in lane_doc and "name" not in lane_doc:
-            err = dict(lane_doc["error"])
-            err.setdefault("family",
-                           error_family(err.get("error", "")))
-            outs[i] = {"schema": EVAL_SCHEMA, "status": "error",
-                       "request_key": request.canonical_key(),
-                       "evaluation": None, "lanes": None,
-                       "error": err, "meta": meta}
-        else:
-            outs[i] = {"schema": EVAL_SCHEMA, "status": "ok",
-                       "request_key": request.canonical_key(),
-                       "evaluation": lane_doc, "lanes": None,
-                       "error": None, "meta": meta}
+        meta = {"wall_s": wall}
+        evaluation, error = None, response.error
+        if response.ok:
+            meta.update(lru=lru, pid=os.getpid(), coalesced=len(live),
+                        lane=lane)
+            evaluation = {k: v for k, v in response.lanes[lane].items()
+                          if k != "lane"}
+            error = evaluation.pop("error", None)
+            if error is not None:
+                evaluation = None
+                error = dict(error)
+                error.setdefault("family",
+                                 error_family(error.get("error", "")))
+        outs[i] = EvaluationResponse(
+            status="ok" if error is None else "error",
+            request_key=request.canonical_key(), evaluation=evaluation,
+            error=error, meta=meta).to_json()
     return [out for out in outs if out is not None]
 
 
@@ -235,10 +201,9 @@ def reset_lru() -> None:
     _LRU.clear()
 
 
-def _error_response(exc: BaseException, t0: float) -> Dict:
-    doc = error_document(exc)
-    doc["family"] = family_for(exc)
+def _error_response(exc: BaseException, t0: float,
+                    request_key: str = "") -> Dict:
     return {"schema": EVAL_SCHEMA, "status": "error",
-            "request_key": "", "evaluation": None, "lanes": None,
-            "error": doc,
+            "request_key": request_key, "evaluation": None,
+            "lanes": None, "error": failure_document(exc),
             "meta": {"wall_s": round(time.perf_counter() - t0, 4)}}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .. import telemetry
 from ..core.circuit import AcceleratorCircuit
@@ -84,10 +84,6 @@ class SimParams:
     #: Wall-clock watchdog: abort with :class:`WatchdogTimeout` after
     #: this many seconds of real time (None = no wall-clock bound).
     wallclock_timeout: Optional[float] = None
-    #: Progress heartbeat: call ``heartbeat(now, stats)`` every this
-    #: many cycles (0 = off).  Lets long fuzz cases show liveness.
-    heartbeat_cycles: int = 0
-    heartbeat: Optional[Callable[[int, SimStats], None]] = None
     #: Batched simulation: step this many independent workload lanes
     #: through one run (:func:`simulate_batch`).  None = scalar run.
     #: Not part of the DSE cache key (see ``dse.cache.SIM_KEY_FIELDS``)
@@ -134,23 +130,30 @@ class Simulator:
     def run(self, args: Sequence = ()) -> SimResult:
         if self.params.kernel == "dense":
             return self._run_dense(args)
-        if self.params.kernel == "compiled":
-            from .compile import compiled_for
-            try:
-                compiled = compiled_for(self.circuit)
-            except KernelCompileError as exc:
-                if not self.params.compile_fallback:
-                    raise
-                import warnings
-                warnings.warn(
-                    f"compiled kernel unavailable, falling back to "
-                    f"event kernel: {exc}", RuntimeWarning,
-                    stacklevel=2)
-                result = self._run_event(args)
-                result.compile_error = error_document(exc)
-                return result
-            return self._run_event(args, compiled=compiled)
-        return self._run_event(args)
+        return self._run_kernel(args)
+
+    def _run_kernel(self, args: Sequence, image: Optional[LaneImage] = None,
+                    batch: Optional[BatchContext] = None) -> SimResult:
+        """One run of the event or compiled kernel, over the scalar
+        memory or (``image`` + ``batch``) a lane-vectorized image; the
+        caller routes dense requests elsewhere."""
+        if self.params.kernel != "compiled":
+            return self._run_event(args, image=image, batch=batch)
+        from .compile import compiled_for
+        try:
+            compiled = compiled_for(self.circuit)
+        except KernelCompileError as exc:
+            if not self.params.compile_fallback:
+                raise
+            import warnings
+            warnings.warn(
+                f"compiled kernel unavailable, falling back to "
+                f"event kernel: {exc}", RuntimeWarning, stacklevel=3)
+            result = self._run_event(args, image=image, batch=batch)
+            result.compile_error = error_document(exc)
+            return result
+        return self._run_event(args, compiled=compiled, image=image,
+                               batch=batch)
 
     def _make_injector(self) -> Optional[FaultInjector]:
         plan = self.params.faults
@@ -173,15 +176,12 @@ class Simulator:
     # *exactly* max_cycles simulated cycles in both kernels (the old
     # ``>`` allowed one extra cycle).
     class _Watchdog:
-        __slots__ = ("limit", "start", "hb_every", "hb")
+        __slots__ = ("limit", "start")
 
         def __init__(self, params):
             self.limit = params.wallclock_timeout
             self.start = time.perf_counter() if self.limit is not None \
                 else 0.0
-            self.hb = params.heartbeat
-            self.hb_every = params.heartbeat_cycles \
-                if self.hb is not None else 0
 
         def check(self, now: int, stats: SimStats) -> None:
             if self.limit is not None and \
@@ -191,33 +191,6 @@ class Simulator:
                     raise Simulator._attach(
                         WatchdogTimeout(now, elapsed, self.limit),
                         stats, now)
-            if self.hb_every and now % self.hb_every == 0:
-                self.hb(now, stats)
-
-    # -- batched run (vectorized attempt) ----------------------------------
-    def _run_batch_attempt(self, args: Sequence, image: LaneImage,
-                           batch: BatchContext) -> SimResult:
-        """One lane-vectorized run over ``image`` — kernel selection
-        mirrors :meth:`run` minus the dense kernel (the caller routes
-        dense requests to sequential per-lane runs)."""
-        if self.params.kernel == "compiled":
-            from .compile import compiled_for
-            try:
-                compiled = compiled_for(self.circuit)
-            except KernelCompileError as exc:
-                if not self.params.compile_fallback:
-                    raise
-                import warnings
-                warnings.warn(
-                    f"compiled kernel unavailable, falling back to "
-                    f"event kernel: {exc}", RuntimeWarning,
-                    stacklevel=2)
-                result = self._run_event(args, image=image, batch=batch)
-                result.compile_error = error_document(exc)
-                return result
-            return self._run_event(args, compiled=compiled,
-                                   image=image, batch=batch)
-        return self._run_event(args, image=image, batch=batch)
 
     # -- event kernel (also hosts the compiled kernel) ---------------------
     def _run_event(self, args: Sequence, compiled=None, image=None,
@@ -482,7 +455,7 @@ def simulate_batch(circuit: AcceleratorCircuit, memories: Sequence,
     args = _pack_args(args_lanes, n)
     sim.params = replace(params, validate=False, batch=n)
     try:
-        result = sim._run_batch_attempt(args, image, BatchContext(n))
+        result = sim._run_kernel(args, image, BatchContext(n))
     except Exception as exc:   # noqa: BLE001 — deopt on *anything*:
         # LaneDivergence is the designed trigger, but a lane-vector
         # reaching an unprepared scalar site surfaces as TypeError,

@@ -66,9 +66,10 @@ def site_int(seed: Optional[int], lo: int, hi: int, *site) -> int:
 def seed_memory(memory, seed: Optional[int]) -> None:
     """Fill every global array of ``memory`` pseudo-randomly.
 
-    Shared by the CLI, the bench harness, and the fuzzer so one seed
-    reproduces memory contents end-to-end.  The sequence is the
-    historical ``random.Random(seed)`` one.
+    Behind ``repro simulate --seed`` and an evaluation request's
+    ``seed`` (every lane of a batch), so one seed reproduces memory
+    contents end-to-end.  The sequence is the historical
+    ``random.Random(seed)`` one.
     """
     if seed is None:
         return

@@ -7,4 +7,4 @@ See :mod:`repro.verify.conformance` for the fuzzer and
 from .artifacts import BUNDLE_SCHEMA, load_bundle, write_bundle  # noqa: F401
 from .conformance import (  # noqa: F401
     DEFAULT_FUZZ_PASSES, FUZZ_SCHEMA, CaseResult, ConformanceFuzzer,
-    FuzzReport, minimize_plan, passes_from_spec, replay_bundle)
+    FuzzReport, minimize_plan, replay_bundle)

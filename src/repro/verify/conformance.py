@@ -61,16 +61,6 @@ DEFAULT_FUZZ_PASSES = ("memory_localization,scratchpad_banking,"
                        "op_fusion,task_pipelining,perf_counters")
 
 
-def passes_from_spec(spec: Optional[str]) -> list:
-    """Spec text -> fresh pass instances (see :mod:`repro.opt.specs`).
-
-    Thin compatibility shim over :func:`repro.opt.parse_passes`, which
-    also understands aliases (``localize``) and knob arguments
-    (``banking=4``).
-    """
-    return parse_passes(spec)
-
-
 @dataclass
 class CaseResult:
     """Verdict of one (workload, plan, mode) execution."""
@@ -233,7 +223,7 @@ class ConformanceFuzzer:
             w = get_workload(workload)
             circuit = translate_module(
                 w.module(variant), name=f"{workload}_{variant}")
-            PassManager(passes_from_spec(spec)).run(circuit)
+            PassManager(parse_passes(spec)).run(circuit)
             self._circuits[key] = circuit
         return self._circuits[key]
 

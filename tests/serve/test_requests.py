@@ -31,6 +31,15 @@ func main(n: i32, a: f32) {
 }
 """
 
+SUM_SRC = """
+array x: i32[16];
+func main(n: i32) -> i32 {
+  var s: i32 = 0;
+  for (i = 0; i < n; i = i + 1) { s = s + x[i]; }
+  return s;
+}
+"""
+
 
 class TestRequestRoundTrip:
     def test_workload_request_round_trips(self):
@@ -79,10 +88,22 @@ class TestRequestValidation:
         sim.update(kernel="event", batch=None)
         assert EvaluationRequest(workload="fib", sim=sim)
 
-    def test_seed_rejected_for_batched_request(self):
-        with pytest.raises(ReproError, match="scalar-request knob"):
-            EvaluationRequest(source=SRC, seed=3,
-                              args_list=((4, 1.0), (8, 1.0)))
+    def test_seeded_batch_lanes_equal_seeded_scalars(self):
+        # seed= fills every lane's memory image, so each lane is the
+        # seeded scalar request with that lane's args (the returned
+        # sum reads the seeded array: unseeded, it would be 0).
+        lanes = ((4,), (8,), (16,))
+        resp = execute(EvaluationRequest(source=SUM_SRC, seed=3,
+                                         args_list=lanes))
+        assert resp.ok, resp.error
+        for i, (lane, args) in enumerate(zip(resp.lanes, lanes)):
+            scalar = execute(EvaluationRequest(source=SUM_SRC, seed=3,
+                                               args=args))
+            assert scalar.ok, scalar.error
+            assert lane.pop("lane") == i
+            assert lane == scalar.evaluation
+            assert lane["verified"] is True
+        assert any(lane["results"] != [0] for lane in resp.lanes)
 
     def test_seed_rejected_for_workload_request(self):
         with pytest.raises(ReproError, match="workloads own"):

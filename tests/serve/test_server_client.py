@@ -139,6 +139,16 @@ class TestRoundTrip:
         assert response_payload_bytes(resp.to_json()) == \
             response_payload_bytes(direct.to_json())
 
+    def test_seeded_batch_lanes_match_direct(self, server):
+        # What `repro client evaluate F --args 16 2.0 --seed 5
+        # --batch 3` sends: three seeded lanes of one source request.
+        req = EvaluationRequest(source=SRC, args=(16, 2.0), seed=5,
+                                sim={"batch": 3})
+        resp = client_for(server()).evaluate(req)
+        assert resp.ok, resp.error
+        assert len(resp.lanes) == 3
+        assert resp.lanes == execute(req).lanes
+
     def test_heartbeat_streams_before_every_result(self, server):
         beats = []
         client = client_for(server(), on_heartbeat=beats.append)

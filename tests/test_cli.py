@@ -101,6 +101,21 @@ class TestSimulate:
                      "--trace-out", tracep]) == 2
         assert "obs-level" in capsys.readouterr().err
 
+    def test_seeded_batch_matches_seeded_scalar(self, src_file, capsys):
+        def cycles_line(out):
+            return next(line for line in out.splitlines()
+                        if line.startswith("cycles:"))
+
+        assert main(["simulate", src_file, "--args", "16", "2.0",
+                     "--seed", "5"]) == 0
+        scalar = capsys.readouterr().out
+        assert main(["simulate", src_file, "--args", "16", "2.0",
+                     "--seed", "5", "--batch", "3"]) == 0
+        batched = capsys.readouterr().out
+        assert "batch: 3 lanes, mode=" in batched
+        assert "behavior vs interpreter: OK (all lanes)" in batched
+        assert cycles_line(batched) == cycles_line(scalar)
+
     def test_compiled_kernel(self, src_file, capsys):
         assert main(["simulate", src_file, "--args", "16", "2.0",
                      "--seed", "5", "--kernel", "compiled"]) == 0

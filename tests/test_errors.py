@@ -152,6 +152,17 @@ class TestRetryClassification:
         assert any("KeyError" in line for line in doc["traceback"])
         assert len(doc["traceback"]) <= 8
 
+    def test_failure_document_covers_both_kinds(self):
+        doc = errors.failure_document(errors.WatchdogTimeout(9, 2.0, 1.0))
+        assert doc == dict(errors.error_document(
+            errors.WatchdogTimeout(9, 2.0, 1.0)), family="transient")
+        try:
+            raise KeyError("missing")
+        except KeyError as exc:
+            doc = errors.failure_document(exc)
+        assert doc["family"] == "deterministic"
+        assert "traceback" in doc
+
 
 class TestSweepErrors:
     def test_poison_point_error(self):

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.api import Pipeline
-from repro.bench.harness import RunResult
 from repro.cli import main
 from repro.opt import PASS_REGISTRY
 from repro.report import (
@@ -33,30 +32,24 @@ def gemm_report():
     pipe.optimize(passes)
     pipe.simulate()
     pipe.synthesize(name="gemm")
-    run = RunResult(workload="gemm", config="report-test",
-                    cycles=pipe.sim.cycles,
-                    fpga_mhz=pipe.synth.fpga_mhz,
-                    stats=pipe.sim.stats, synth=pipe.synth,
-                    pass_log=list(pipe.pass_log),
-                    circuit=pipe.circuit)
-    return build_report(run), run
+    return build_report(pipe, "report-test"), pipe
 
 
 class TestReportSchema:
     def test_header(self, gemm_report):
-        report, _run = gemm_report
+        report, _pipe = gemm_report
         assert report["schema"] == REPORT_SCHEMA
         assert report["workload"] == "gemm"
         assert report["config"] == "report-test"
 
     def test_all_three_layers_present(self, gemm_report):
-        report, _run = gemm_report
+        report, _pipe = gemm_report
         assert set(report["layers"]) == {"sim", "opt", "synth"}
 
     def test_sim_layer(self, gemm_report):
-        report, run = gemm_report
+        report, pipe = gemm_report
         sim = report["layers"]["sim"]
-        assert sim["cycles"] == run.cycles
+        assert sim["cycles"] == pipe.cycles
         assert sim["total_stall_cycles"] > 0
         assert sim["top_sources"], "needs a top-sources table"
         for entry in sim["top_sources"]:
@@ -69,7 +62,7 @@ class TestReportSchema:
         assert any(bank.endswith("_pmu") for bank in sim["counters"])
 
     def test_opt_layer(self, gemm_report):
-        report, _run = gemm_report
+        report, _pipe = gemm_report
         passes = report["layers"]["opt"]["passes"]
         assert [p["name"] for p in passes] == REPORT_PASSES
         for p in passes:
@@ -78,7 +71,7 @@ class TestReportSchema:
                 assert key in p
 
     def test_synth_layer(self, gemm_report):
-        report, _run = gemm_report
+        report, _pipe = gemm_report
         synth = report["layers"]["synth"]
         row = synth["table2_row"]
         assert set(row) == {"bench", "MHz", "mW", "ALMs", "Reg",
@@ -89,8 +82,8 @@ class TestReportSchema:
         assert pmu["area_kum2"] > 0
 
     def test_verdict_per_task_block(self, gemm_report):
-        report, run = gemm_report
-        assert set(report["verdicts"]) == set(run.circuit.tasks)
+        report, pipe = gemm_report
+        assert set(report["verdicts"]) == set(pipe.circuit.tasks)
         for verdict in report["verdicts"].values():
             assert verdict["bound_by"] in BOUND_BY_GROUPS
             groups = verdict["stall_cycles_by_group"]
@@ -98,13 +91,13 @@ class TestReportSchema:
             assert verdict["stall_cycles_total"] == sum(groups.values())
 
     def test_json_serializable(self, gemm_report):
-        report, _run = gemm_report
+        report, _pipe = gemm_report
         assert json.loads(json.dumps(report)) == report
 
 
 class TestMarkdown:
     def test_render_contains_all_sections(self, gemm_report):
-        report, _run = gemm_report
+        report, _pipe = gemm_report
         md = render_markdown(report)
         for heading in ("# Bottleneck report: gemm",
                         "## Bound-by verdicts",
