@@ -244,11 +244,11 @@ class Pipeline:
         """Simulate the circuit; verify behavior unless ``check=False``.
 
         Workload pipelines default ``args``/``memory`` from the
-        workload and verify against its golden data.  Source/module
-        pipelines snapshot the initial memory image and compare the
-        simulated result against the reference interpreter run on the
-        same snapshot.  ``kernel`` ("event" / "dense" / "compiled")
-        overrides the kernel without building a full ``SimParams``.
+        workload.  A checked run snapshots its input memory image and
+        compares the simulated memory and returned values exactly
+        against the reference interpreter run on the same snapshot and
+        args.  ``kernel`` ("event" / "dense" / "compiled") overrides
+        the kernel without building a full ``SimParams``.
         """
         if kernel is not None:
             params = replace(params or SimParams(), kernel=kernel)
@@ -256,8 +256,7 @@ class Pipeline:
             args = self.default_args()
         if memory is None:
             memory = self._fresh_memory()
-        initial = list(memory.words) \
-            if check and self.workload is None else None
+        initial = list(memory.words) if check else None
         tel = telemetry.tracer()
         with tel.span("pipeline.simulate",
                       kernel=(params.kernel if params
@@ -294,13 +293,9 @@ class Pipeline:
 
     def _verify(self, memory: Memory, initial: List, args: Sequence,
                 results: Sequence, lane: Optional[int] = None) -> None:
-        """Check one finished run: workload pipelines against the
-        workload's golden data, the others against the reference
-        interpreter run on the run's input image ``initial``.  Raises
-        :class:`~repro.errors.WorkloadError` on a divergence."""
-        if self.workload is not None:
-            self.workload.verify(memory, self.variant)
-            return
+        """Check one finished run against the reference interpreter
+        run on the run's own input image ``initial`` and ``args``.
+        Raises :class:`~repro.errors.WorkloadError` on a divergence."""
         golden = Memory(self.module)
         golden.words[:] = initial
         returned = Interpreter(self.module, golden).run(*args)

@@ -41,7 +41,7 @@ EVAL_SCHEMA = "repro.eval/v1"
 SIM_FIELDS = (
     "kernel", "max_cycles", "deadlock_window",
     "loop_invocation_window", "decoupled_queue_depth", "observe",
-    "trace_capacity", "compile_fallback", "wallclock_timeout",
+    "trace_capacity", "wallclock_timeout",
     "batch", "faults", "validate",
 )
 

@@ -35,8 +35,7 @@ localize,banking=4,fusion,tiling=2`` (see ``repro.opt.specs``).
 Failures exit with a per-error-family code (see
 ``repro.errors.EXIT_CODES``): parse errors 2, IR/translation 3,
 deadlock 4, workload mismatch 5, simulation limits 6, LI-conformance
-violations 7, pass errors 8, kernel compilation 10 (with
-``--no-kernel-fallback``), quarantined poison points 11, interrupted
+violations 7, pass errors 8, quarantined poison points 11, interrupted
 sweeps 130 (checkpointed; the message carries the ``--resume`` hint).
 ``--json-errors`` (global flag, before the subcommand) prints a
 machine-readable error document instead of the one-line message.
@@ -138,8 +137,6 @@ def simulate_request_from(args, source: str):
                        observe=observe,
                        trace_capacity=args.trace_capacity,
                        faults=plan,
-                       compile_fallback=not getattr(
-                           args, "no_kernel_fallback", False),
                        wallclock_timeout=args.timeout,
                        batch=batch_n)
     raw_args = getattr(args, "args", None)
@@ -176,11 +173,6 @@ def cmd_simulate(args) -> int:
     if request.is_batch:
         return _print_batch(args, pipe, result, t_sim)
     sim = pipe.sim
-    if sim.compile_error is not None:
-        err = sim.compile_error
-        print(f"note: compiled kernel unavailable "
-              f"({err.get('error')}: {err.get('message')}); "
-              f"ran the event kernel instead", file=sys.stderr)
     print(f"cycles: {sim.cycles}")
     if sim.results:
         print(f"returned: {sim.results}")
@@ -229,17 +221,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _lane_failures(errors) -> int:
+    """Print each failed lane's error (``errors[i]`` is lane *i*'s
+    error document, None if it finished) and return the exit code of
+    the first failure, the code its scalar run would exit with; 0 when
+    every lane finished."""
+    code = 0
+    for i, err in enumerate(errors):
+        if err is None:
+            continue
+        print(f"lane {i}: {err.get('error')}: {err.get('message')} "
+              f"(input {err.get('input_fingerprint')})", file=sys.stderr)
+        code = code or int(err.get("exit_code") or 1)
+    return code
+
+
 def _print_batch(args, pipe, batch, t_sim: float) -> int:
     """Report a batched simulate (``run_request`` verified every
-    surviving lane; a diverging lane raised)."""
-    ok = True
-    for i in range(batch.lanes):
-        if batch.errors[i] is not None:
-            err = batch.errors[i]
-            print(f"lane {i}: FAILED[{err.get('error')}] "
-                  f"fingerprint={err.get('input_fingerprint')}",
-                  file=sys.stderr)
-            ok = False
+    finished lane; a diverging lane raised)."""
+    code = _lane_failures(batch.errors)
     cycles = [r.cycles if r is not None else None
               for r in batch.results]
     print(f"batch: {batch.lanes} lanes, mode={batch.mode}")
@@ -247,14 +247,14 @@ def _print_batch(args, pipe, batch, t_sim: float) -> int:
     first = next((r for r in batch.results if r is not None), None)
     if first is not None and first.results:
         print(f"returned: {first.results}")
-    print(f"behavior vs interpreter: "
-          f"{'OK (all lanes)' if ok else 'MISMATCH'}")
+    if not code:
+        print("behavior vs interpreter: OK (all lanes)")
     print(f"throughput: {batch.lanes / t_sim:,.1f} sims/s "
           f"({args.kernel} kernel, {t_sim:.3f}s wall)")
     if args.stats_json:
         batch.stats.dump_json(args.stats_json)
         print(f"wrote {args.stats_json}")
-    return 0 if ok else 1
+    return code
 
 
 def cmd_synth(args) -> int:
@@ -306,7 +306,7 @@ def cmd_bench(args) -> int:
         print(f"{args.workload}/{args.passes or 'baseline'}: "
               f"{cyc} cycles x {batch.lanes} lanes "
               f"(mode={batch.mode}) = {batch.lanes / wall:,.1f} sims/s")
-        print("behavior verified against the workload golden check "
+        print("behavior verified against the reference interpreter "
               "(every lane)")
         return 0 if batch.ok else 1
     from .api import evaluate
@@ -731,7 +731,7 @@ def cmd_client_evaluate(args) -> int:
     else:
         source = target  # a workload name
         if not args.args:
-            args.args = None  # workload defaults (golden check)
+            args.args = None  # the workload's default args
     request, plan = simulate_request_from(args, source)
     if plan is not None:
         print(f"faults: {plan.describe()}")
@@ -756,14 +756,15 @@ def cmd_client_evaluate(args) -> int:
         if cycles:
             print(f"cycles: "
                   f"{cycles[0] if len(cycles) == 1 else cycles}")
-        return 0 if len(ok) == len(response.lanes) else 1
+        return _lane_failures([doc.get("error")
+                               for doc in response.lanes])
     ev = response.evaluation or {}
     print(f"{ev.get('name')}: {ev.get('cycles')} cycles"
           + (f" = {ev.get('time_us'):.2f} us"
              if ev.get("time_us") is not None else "")
           + f" ({served})")
     if ev.get("verified"):
-        print("behavior verified (server-side golden check)")
+        print("behavior verified (server-side interpreter check)")
     return 0
 
 
@@ -953,10 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="main() arguments")
     p.add_argument("--seed", type=int, default=None,
                    help="seed array contents pseudo-randomly")
-    p.add_argument("--no-kernel-fallback", action="store_true",
-                   help="with the compiled kernel, raise (exit code "
-                        "10) instead of falling back to the event "
-                        "kernel when compilation fails")
     p.add_argument("--profile", action="store_true",
                    help="print throughput, per-pass timing and "
                         "stall attribution")

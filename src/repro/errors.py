@@ -114,19 +114,6 @@ class LaneDivergence(SimulationError):
     independent per-lane runs (see :mod:`repro.core.lanes`)."""
 
 
-class KernelCompileError(SimulationError):
-    """Raised when the compiled simulation kernel cannot specialize a
-    circuit (e.g. a node kind with no registered step compiler).  With
-    ``SimParams.compile_fallback`` enabled the engine downgrades this
-    to a warning and runs the event kernel instead; with fallback
-    disabled it surfaces as its own CLI exit-code family."""
-
-    def __init__(self, message: str, task: str = "", node: str = ""):
-        super().__init__(message)
-        self.task = task
-        self.node = node
-
-
 class DeadlockError(SimulationError):
     """Raised when the simulation makes no progress for too long.
 
@@ -223,7 +210,6 @@ EXIT_CODES = {
     "DeadlockError": 4,
     "WorkloadError": 5,       # workload golden-check mismatch
     "SimulationError": 6,     # incl. SimulationTimeout / WatchdogTimeout
-    "KernelCompileError": 10,  # compiled-kernel specialization failure
     "VerificationError": 7,   # incl. LIViolationError
     "PassError": 8,
     "RTLError": 9,

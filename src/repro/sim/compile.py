@@ -56,10 +56,8 @@ verified against a cheap structural signature and recompiled on
 mismatch (belt and braces: a mismatch would need two circuits whose
 serialized forms agree but whose node objects differ).
 
-A circuit containing a node kind with no registered step compiler
-raises :class:`repro.errors.KernelCompileError`; the engine either
-falls back to the event kernel with a warning or surfaces the error,
-per ``SimParams.compile_fallback``.
+Every node kind the simulator knows (:data:`repro.sim.nodesim.
+SIM_CLASSES`) has a step compiler, so every circuit compiles.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ from ..core.lanes import (ctrl, lane_lift_list, lane_lift_pos,
 from ..core.semantics import (poison_value, specialize_compute,
                               specialize_compute_pos)
 from ..core.serialize import circuit_fingerprint
-from ..errors import KernelCompileError
 from .channel import Channel
 from .nodesim import _CallRecord, _MemRecord, LoopControlSim
 from .memory import MemRequest
@@ -122,28 +119,25 @@ def _fork_accept(fork):
     return accept
 
 
-def _rearm_locals(sim, inst):
-    """(idx, in_defer, defer_append) for a binder's self-rearm tail.
+def _rearm_locals(sim):
+    """(idx, bit) for a binder's self-rearm tail.
 
     The event kernel's sweep does, around every tick: set the sweep
     cursor, snapshot ``_act``, and — if the node acted and is not a
-    precise-wake kind — push a look-again wake for next cycle.  The
+    precise-wake kind — wake the node again for next cycle.  The
     compiled sweep is a bare ``step(now)`` call per node, so every
     binder folds that bookkeeping into the step body itself: cursor
     first, then on any path that acted (``_act`` changed),
 
-        if not in_defer[idx]:
-            in_defer[idx] = 1
-            defer_append(idx)
+        inst._next |= bit
 
     Multi-exit bodies do it in a ``try/finally`` guarded by an ``_act``
     snapshot (zero-cost on the non-exception path under CPython 3.11's
-    exception tables); single-act bodies test directly.  The captured
-    objects are stable for the instance's lifetime: ``_defer`` is only
-    ever ``clear()``-ed (never reassigned) and ``_in_defer`` is mutated
-    in place.  Precise kinds (compute/tensor/fused) never self-rearm —
-    their steps only set the cursor."""
-    return sim.idx, inst._in_defer, inst._defer.append
+    exception tables); single-act bodies test directly.  The sweep
+    stamps ``_next`` with the current cycle before the first step, so
+    the tail needs no promote check.  Precise kinds (compute/tensor/
+    fused) never self-rearm — their steps only set the cursor."""
+    return sim.idx, 1 << sim.idx
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def _bind_source(sim, inst, data):
     pending = [inst.channels[id(c)] for c in sim._pending]
     if not pending:
         return _nop
-    idx, in_defer, defer_append = _rearm_locals(sim, inst)
+    idx, bit = _rearm_locals(sim)
 
     def step(now):
         nonlocal pending
@@ -175,9 +169,8 @@ def _bind_source(sim, inst, data):
             else:
                 remaining.append(ch)
         pending = remaining
-        if acted and not in_defer[idx]:
-            in_defer[idx] = 1
-            defer_append(idx)
+        if acted:
+            inst._next |= bit
 
     return step
 
@@ -191,16 +184,14 @@ def _bind_liveout(sim, inst, data):
     pop = ch.pop
     index = sim.node.index
     record = inst.record_liveout
-    idx, in_defer, defer_append = _rearm_locals(sim, inst)
+    idx, bit = _rearm_locals(sim)
 
     def step(now):
         inst._cursor = idx
         if token:
             record(index, pop())
             inst._act += 1
-            if not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            inst._next |= bit
 
     return step
 
@@ -680,7 +671,7 @@ def _bind_select(sim, inst, data):
     # per lane instead of truth-testing (batched runtimes only; the
     # scalar path keeps the raw conditional).
     batch = inst.runtime.batch is not None
-    idx, in_defer, defer_append = _rearm_locals(sim, inst)
+    idx, bit = _rearm_locals(sim)
     if fork is not None:
         accept = _fork_accept(fork)
         drain = fork.drain
@@ -711,9 +702,8 @@ def _bind_select(sim, inst, data):
                 accept(result, inst)
                 inst._act += 1
             finally:
-                if inst._act != a0 and not in_defer[idx]:
-                    in_defer[idx] = 1
-                    defer_append(idx)
+                if inst._act != a0:
+                    inst._next |= bit
 
         return step
 
@@ -738,9 +728,8 @@ def _bind_select(sim, inst, data):
                 popleft()
                 inst._act += 1
         finally:
-            if inst._act != a0 and not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -760,7 +749,7 @@ def _bind_phi(sim, inst, data):
     emit_history = sim.emit_history
     forks = sim._fork_list
     on_sink = inst.on_sink_progress
-    idx, in_defer, defer_append = _rearm_locals(sim, inst)
+    idx, bit = _rearm_locals(sim)
     fork_accept = _fork_accept(fork) if fork is not None else None
     final_accept = _fork_accept(final_fork) \
         if final_fork is not None else None
@@ -829,9 +818,8 @@ def _bind_phi(sim, inst, data):
                 elif sim.backs >= trips:
                     push_final(sim.last_back)
         finally:
-            if inst._act != a0 and not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -854,14 +842,13 @@ def _bind_loopctl(sim, inst, data):
     forks = sim._fork_list
     max_in_flight = node.max_in_flight
     ps = max(1, node.pipeline_stages)
-    idx = sim.idx
+    idx, bit = _rearm_locals(sim)
     sched = inst.schedule_node
     completed = inst.completed_iterations
     iters = inst.stats.iterations
     tname = inst.task.name
     count_trips = LoopControlSim._count_trips
     on_loop_finished = inst.on_loop_finished
-    idx_r, in_defer, defer_append = _rearm_locals(sim, inst)
     index_acc = _fork_accept(index_fork) \
         if index_fork is not None else None
     active_acc = _fork_accept(active_fork) \
@@ -947,7 +934,7 @@ def _bind_loopctl(sim, inst, data):
         iters[tname] += 1
 
     def step(now):
-        inst._cursor = idx_r
+        inst._cursor = idx
         a0 = inst._act
         try:
             for f in forks:
@@ -979,9 +966,8 @@ def _bind_loopctl(sim, inst, data):
                 tick_counted(now)
             finish_outputs(now)
         finally:
-            if inst._act != a0 and not in_defer[idx_r]:
-                in_defer[idx_r] = 1
-                defer_append(idx_r)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -1003,7 +989,7 @@ def _bind_load(sim, inst, data):
     poison = poison_value(node.out.type)
     submit = sim.junction_sim.submit
     wake = inst.wake_node
-    idx = sim.idx
+    idx, bit = _rearm_locals(sim)
     stats = inst.stats
     on_sink = inst.on_sink_progress
     # Request operands, flattened: addr, [pred], [order].
@@ -1018,8 +1004,6 @@ def _bind_load(sim, inst, data):
     if has_order:
         qo = _ready_token(chans[pos])
         po = chans[pos].pop
-    in_defer = inst._in_defer
-    defer_append = inst._defer.append
     out_accept = _fork_accept(out_fork) if out_fork is not None else None
     done_accept = _fork_accept(done_fork) \
         if done_fork is not None else None
@@ -1077,9 +1061,8 @@ def _bind_load(sim, inst, data):
                         wake(idx)
                 submit(MemRequest(base + w, False, on_done=on_done))
         finally:
-            if inst._act != a0 and not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -1099,7 +1082,7 @@ def _bind_store(sim, inst, data):
     has_order = sim.has_order
     submit = sim.junction_sim.submit
     wake = inst.wake_node
-    idx = sim.idx
+    idx, bit = _rearm_locals(sim)
     stats = inst.stats
     on_sink = inst.on_sink_progress
     # Request operands, flattened: addr, data, [pred], [order].
@@ -1116,8 +1099,6 @@ def _bind_store(sim, inst, data):
     if has_order:
         qo = _ready_token(chans[pos])
         po = chans[pos].pop
-    in_defer = inst._in_defer
-    defer_append = inst._defer.append
     done_accept = _fork_accept(done_fork) \
         if done_fork is not None else None
 
@@ -1165,9 +1146,8 @@ def _bind_store(sim, inst, data):
                 submit(MemRequest(base + w, True, value=values[w],
                                   on_done=on_done))
         finally:
-            if inst._act != a0 and not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -1194,10 +1174,8 @@ def _bind_call(sim, inst, data):
     note_blocked = inst.note_enqueue_blocked
     note_ok = inst.note_enqueue_ok
     wake = inst.wake_node
-    idx = sim.idx
+    idx, bit = _rearm_locals(sim)
     on_sink = inst.on_sink_progress
-    in_defer = inst._in_defer
-    defer_append = inst._defer.append
 
     def step(now):
         inst._cursor = idx
@@ -1258,9 +1236,8 @@ def _bind_call(sim, inst, data):
             inst.calls_outstanding += 1
             inst._act += 1
         finally:
-            if inst._act != a0 and not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -1282,7 +1259,7 @@ def _bind_spawn(sim, inst, data):
     note_blocked = inst.note_enqueue_blocked
     note_ok = inst.note_enqueue_ok
     on_sink = inst.on_sink_progress
-    idx, in_defer, defer_append = _rearm_locals(sim, inst)
+    idx, bit = _rearm_locals(sim)
 
     def step(now):
         inst._cursor = idx
@@ -1316,9 +1293,8 @@ def _bind_spawn(sim, inst, data):
             note_ok(sim)
             inst._act += 1
         finally:
-            if inst._act != a0 and not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -1335,7 +1311,7 @@ def _bind_sync(sim, inst, data):
     done_fork = sim._forks.get(node.done.name)
     forks = sim._fork_list
     on_sink = inst.on_sink_progress
-    idx, in_defer, defer_append = _rearm_locals(sim, inst)
+    idx, bit = _rearm_locals(sim)
 
     def step(now):
         inst._cursor = idx
@@ -1361,9 +1337,8 @@ def _bind_sync(sim, inst, data):
             sim.sink_count = 1
             on_sink()
         finally:
-            if inst._act != a0 and not in_defer[idx]:
-                in_defer[idx] = 1
-                defer_append(idx)
+            if inst._act != a0:
+                inst._next |= bit
 
     return step
 
@@ -1488,13 +1463,7 @@ class CompiledTask:
             n.kind == "loopctl" for n in task.dataflow.nodes)
         plan = []
         for node in task.dataflow.nodes:
-            entry = _STEP_COMPILERS.get(node.kind)
-            if entry is None:
-                raise KernelCompileError(
-                    f"compiled kernel cannot specialize node kind "
-                    f"{node.kind!r} (task {task.name!r}, node "
-                    f"{node.name!r})", task=task.name, node=node.name)
-            binder, data_factory = entry
+            binder, data_factory = _STEP_COMPILERS[node.kind]
             data = data_factory(node) if data_factory is not None \
                 else None
             plan.append((binder, data))

@@ -10,9 +10,6 @@ same memory image, same outputs):
   circuit fingerprint (the circuit as built), so repeated
   evaluations, served requests and the fuzzer pay compilation once
   per design point; DSE groups compile into the identity memo alone.
-  If a circuit cannot be specialized, ``SimParams.compile_fallback``
-  selects between a warning + event-kernel run (default) and raising
-  :class:`repro.errors.KernelCompileError`.
 * ``kernel="event"`` — wakeup-driven: only components with a pending
   wake are touched each cycle (see :mod:`repro.sim.events` and the
   instance-level machinery in :mod:`repro.sim.task`), and the memory
@@ -39,9 +36,9 @@ from ..core.circuit import AcceleratorCircuit
 from ..core.lanes import (BatchContext, LaneImage, LaneValues, _same,
                           lane_fingerprint, lane_row)
 from ..core.validate import validate_circuit
-from ..errors import (DeadlockError, KernelCompileError, ReproError,
-                      SimulationError, SimulationTimeout,
-                      WatchdogTimeout, error_document)
+from ..errors import (DeadlockError, ReproError, SimulationError,
+                      SimulationTimeout, WatchdogTimeout,
+                      error_document)
 from .events import EventScheduler
 from .faults import FaultInjector, FaultPlan
 from .memory import MemorySystem
@@ -70,10 +67,6 @@ class SimParams:
     #: default), "event" (wakeup-driven reference) or "dense"
     #: (reference sweep).
     kernel: str = "compiled"
-    #: kernel="compiled" only: when the circuit cannot be specialized,
-    #: True (default) downgrades to a warning + event-kernel run;
-    #: False raises :class:`repro.errors.KernelCompileError`.
-    compile_fallback: bool = True
     #: Observability level: "off", "counters" (default) or "trace".
     observe: str = "counters"
     #: Ring-buffer capacity for observe="trace".
@@ -98,10 +91,6 @@ class SimResult:
     stats: SimStats
     #: Observability layer of the run (None under the dense kernel).
     observer: Optional[Observability] = None
-    #: kernel="compiled" with compile_fallback: the error document of
-    #: the specialization failure that forced the event-kernel run
-    #: (None = no fallback happened).
-    compile_error: Optional[dict] = None
 
     def __repr__(self) -> str:
         return f"SimResult(cycles={self.cycles}, results={self.results})"
@@ -140,20 +129,8 @@ class Simulator:
         if self.params.kernel != "compiled":
             return self._run_event(args, image=image, batch=batch)
         from .compile import compiled_for
-        try:
-            compiled = compiled_for(self.circuit)
-        except KernelCompileError as exc:
-            if not self.params.compile_fallback:
-                raise
-            import warnings
-            warnings.warn(
-                f"compiled kernel unavailable, falling back to "
-                f"event kernel: {exc}", RuntimeWarning, stacklevel=3)
-            result = self._run_event(args, image=image, batch=batch)
-            result.compile_error = error_document(exc)
-            return result
-        return self._run_event(args, compiled=compiled, image=image,
-                               batch=batch)
+        return self._run_event(args, compiled=compiled_for(self.circuit),
+                               image=image, batch=batch)
 
     def _make_injector(self) -> Optional[FaultInjector]:
         plan = self.params.faults
@@ -425,7 +402,9 @@ def simulate_batch(circuit: AcceleratorCircuit, memories: Sequence,
     no arguments for every lane).  The vectorized attempt runs on
     *copies* of the images, so a deopt re-runs each lane sequentially
     against its untouched original — per-lane results and memory are
-    bit-identical to N independent runs in every mode.
+    bit-identical to N independent runs in every mode.  Identical lanes
+    (same args and input image) that fail the vectorized attempt with
+    a :class:`ReproError` all carry its error; nothing re-runs.
     """
     memories = list(memories)
     n = len(memories)
@@ -462,6 +441,25 @@ def simulate_batch(circuit: AcceleratorCircuit, memories: Sequence,
         # and a divergence-induced stall as DeadlockError; sequential
         # re-runs on the untouched originals answer all of them.
         doc = error_document(exc)
+        if isinstance(exc, ReproError) and \
+                not any(isinstance(a, LaneValues) for a in args):
+            prints = {lane_fingerprint(a, m.words)
+                      for a, m in zip(args_lanes, memories)}
+            if len(prints) == 1:
+                # Identical lanes: each scalar run would fail the same
+                # way, so this one failure is every lane's.
+                for i, mem in enumerate(memories):
+                    mem.words[:] = image.lanes[i]
+                fingerprint, = prints
+                errors = [dict(doc, lane=i, input_fingerprint=fingerprint)
+                          for i in range(n)]
+                stats = SimStats()
+                stats.batch_lanes = n
+                stats.batch_mode = "vectorized"
+                stats.lane_cycles = [None] * n
+                _count_batch("vectorized", n)
+                return BatchResult(n, "vectorized", [None] * n, errors,
+                                   stats)
         _count_batch("deopt", n, deopt=doc)
         return _run_lanes_sequential(circuit, memories, args_lanes,
                                      scalar, "deopt", deopt=doc)
@@ -474,8 +472,7 @@ def simulate_batch(circuit: AcceleratorCircuit, memories: Sequence,
     stats.lane_cycles = [result.cycles] * n
     results: List[Optional[SimResult]] = [
         SimResult(result.cycles, lane_row(result.results, i), stats,
-                  observer=result.observer,
-                  compile_error=result.compile_error)
+                  observer=result.observer)
         for i in range(n)]
     _count_batch("vectorized", n)
     return BatchResult(n, "vectorized", results, [None] * n, stats)

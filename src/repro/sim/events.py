@@ -27,9 +27,9 @@ Three structures implement that contract:
     deferred to *t + 1* (the dense engine's earlier-ordered tick ran
     before the event existed).
 
-Per-instance wake state (heap + pending list + dedup bytearrays)
-lives on :class:`repro.sim.task.DataflowInstance`; this module only
-defines the shared machinery and the sentinel wake indices.
+Per-instance wake state (two node bitmasks, this cycle's and the
+next's) lives on :class:`repro.sim.task.DataflowInstance`; this module
+only defines the shared machinery and the sentinel wake indices.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ class NodeSim:
         self.instance = instance
         self.sink_count = 0
         #: Position in the instance's node list (set at instance
-        #: start); doubles as the sweep-order key for the wakeup heap.
+        #: start); doubles as the node's bit in the wake bitmasks.
         self.idx = -1
         self._forks = {}
         for port in node.outputs:

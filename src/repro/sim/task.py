@@ -24,11 +24,17 @@ Event visibility rule (matches the dense sweep order): an event
 produced at cycle *t* is delivered at *t* if its target would still be
 swept later this cycle (block earlier in dict order not yet ticked,
 node index ahead of the sweep cursor), else at *t + 1*.
+
+An instance keeps its woken nodes in two int bitmasks (bit *i* = node
+*i*): ``_ready`` for this cycle and ``_next`` for the next one.  A
+sweep steps the lowest set bit of ``_ready`` until none is left, so
+every woken node steps at most once per cycle, in ascending order; a
+wake above the cursor sets its bit in ``_ready``, one at or below it
+goes to ``_next``, and a full wake sets every bit.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -181,20 +187,16 @@ class DataflowInstance:
         self._loopctl_idxs = static.loopctl_idxs
 
         # -- event-kernel wake state --------------------------------------
-        n = len(self.node_sims)
-        self._ready: List[int] = []       # heap of wakeable node indices
-        self._in_ready = bytearray(n)
-        self._defer: List[int] = []       # wakes targeted at next cycle
-        self._in_defer = bytearray(n)
-        self._defer_from = -1
-        self.full_wake = True             # first sweep visits every node
-        self._full_next = False
-        self._full_from = -1
+        # Node sets are int bitmasks (bit i = node i), so a sweep pops
+        # the lowest set bit and visits each woken node once, ascending.
+        self._all = (1 << len(sims)) - 1
+        self._ready = self._all           # this cycle; first sweep: all
+        self._next = 0                    # wakes targeted at next cycle
+        self._next_from = -1              # cycle _next was filled in
         self.force_check = False          # park-check / bookkeeping wake
         self._carry = False               # a channel still holds `pre`
         self._dirty: List[EventChannel] = []
         self._sweeping = False
-        self._in_full = False
         self._cursor = -1
         self.checked_cycle = -1
         self.last_processed = -1
@@ -320,23 +322,13 @@ class DataflowInstance:
             channels[cid].latch(self.args[arg_idx])
         for sim in self.node_sims:
             sim.reset()
-        # Wake state.  The dedup bitmaps mirror the live lists exactly
-        # (strict invariant), so zeroing through the lists suffices.
-        for idx in self._ready:
-            self._in_ready[idx] = 0
-        self._ready.clear()
-        for idx in self._defer:
-            self._in_defer[idx] = 0
-        self._defer.clear()
-        self._defer_from = -1
-        self.full_wake = True
-        self._full_next = False
-        self._full_from = -1
+        self._ready = self._all
+        self._next = 0
+        self._next_from = -1
         self.force_check = False
         self._carry = False
         self._dirty = []
         self._sweeping = False
-        self._in_full = False
         self._cursor = -1
         self.checked_cycle = -1
         self.last_processed = -1
@@ -357,30 +349,16 @@ class DataflowInstance:
         return min(s.sink_count for s in self.sinks)
 
     # -- wakeup plumbing (event kernel; all no-ops under dense) -----------
-    def _wake_now(self, idx: int) -> None:
-        if not self._in_ready[idx]:
-            self._in_ready[idx] = 1
-            heapq.heappush(self._ready, idx)
-
-    def _wake_next(self, idx: int) -> None:
-        if self._defer and self._defer_from != self.sched.now:
-            self._promote()
-        if not self._in_defer[idx]:
-            self._in_defer[idx] = 1
-            self._defer.append(idx)
-        self._defer_from = self.sched.now
-
-    def _promote(self) -> None:
-        """Move wakes deferred in an earlier cycle into the ready heap."""
+    def _wake_next(self, mask: int) -> None:
+        """Wake ``mask`` next cycle; wakes queued in an earlier cycle
+        (the instance was not swept since) move to ``_ready`` first."""
         now = self.sched.now
-        if self._defer and self._defer_from < now:
-            for idx in self._defer:
-                self._in_defer[idx] = 0
-                self._wake_now(idx)
-            self._defer.clear()
-        if self._full_next and self._full_from < now:
-            self._full_next = False
-            self.full_wake = True
+        if self._next_from != now:
+            self._ready |= self._next
+            self._next = mask
+            self._next_from = now
+        else:
+            self._next |= mask
 
     def wake_node(self, idx: int) -> None:
         """Deliver a wake to one node under the visibility rule."""
@@ -388,25 +366,23 @@ class DataflowInstance:
             return
         if self._sweeping:
             if idx > self._cursor:
-                if not self._in_full:
-                    self._wake_now(idx)
+                self._ready |= 1 << idx
             else:
-                self._wake_next(idx)
+                self._wake_next(1 << idx)
         elif self.block.sweep_cycle == self.sched.now or \
                 self.checked_cycle == self.sched.now:
-            self._wake_next(idx)
+            self._wake_next(1 << idx)
         else:
-            self._wake_now(idx)
+            self._ready |= 1 << idx
 
     def wake_full(self) -> None:
         """Wake every node (child delivered, unpark, ...)."""
         if self.sched is None:
             return
         if self.block.sweep_cycle == self.sched.now:
-            self._full_next = True
-            self._full_from = self.sched.now
+            self._wake_next(self._all)
         else:
-            self.full_wake = True
+            self._ready = self._all
 
     def schedule_node(self, idx: int, cycle: int) -> None:
         """Timer: wake ``idx`` at the top of ``cycle``."""
@@ -417,11 +393,11 @@ class DataflowInstance:
     def timer_wake(self, idx: int) -> None:
         """Wheel dispatch (top of cycle, before any sweep)."""
         if idx == WAKE_FULL:
-            self.full_wake = True
+            self._ready = self._all
         elif idx == WAKE_CHECK:
             self.force_check = True
         else:
-            self._wake_now(idx)
+            self._ready |= 1 << idx
 
     def on_sink_progress(self) -> None:
         """An iteration sink advanced: loop control's window may open."""
@@ -434,11 +410,10 @@ class DataflowInstance:
         """Loop control finished: final-value pushes unblock everywhere."""
         if self.sched is None:
             return
-        if self._sweeping and not self._in_full:
-            for idx in range(self._cursor + 1, len(self.node_sims)):
-                self._wake_now(idx)
-        self._full_next = True
-        self._full_from = self.sched.now
+        if self._sweeping:
+            above = self._cursor + 1
+            self._ready |= self._all >> above << above
+        self._wake_next(self._all)
 
     def note_enqueue_blocked(self, sim) -> None:
         """A call/spawn failed try_enqueue (callee queue at depth)."""
@@ -459,16 +434,12 @@ class DataflowInstance:
             sim._eq_blocked = False
             self._eqb_count -= 1
 
-    def needs_tick(self) -> bool:
-        if self._defer or self._full_next:
-            self._promote()
-        return bool(self._ready) or self.full_wake or \
-            self.force_check or self._carry
-
     # -- execution (event kernel) -----------------------------------------
     def process(self, now: int) -> None:
-        """Sweep the woken nodes in dense order; commit dirty channels."""
-        self._promote()
+        """Sweep the woken nodes in dense order; commit dirty channels.
+
+        :meth:`TaskBlockSim.tick_event` has already moved wakes queued
+        in an earlier cycle (``_next``) into ``_ready``."""
         gap = now - self.last_processed - 1
         if gap > 0:
             # Asleep cycles are provably activity-free: account them
@@ -485,53 +456,29 @@ class DataflowInstance:
         self.force_check = False
         sims = self.node_sims
         self._sweeping = True
-        # _promote() above emptied _defer (nothing can defer-wake this
-        # instance earlier in its own cycle), so the self-rearm pushes
-        # below can skip _wake_next's promote check.
-        defer = self._defer
-        in_defer = self._in_defer
-        self._defer_from = now
-        heappop = heapq.heappop
-        # When most nodes are awake anyway, the indexed sweep only adds
-        # heap overhead — fall back to the plain dense-order sweep
-        # (processing a superset of the woken nodes is bit-identical).
-        if self.full_wake or 2 * len(self._ready) >= len(sims):
-            self.full_wake = False
-            self._in_full = True
-            for idx in self._ready:
-                self._in_ready[idx] = 0
-            self._ready.clear()
-            for i, sim in enumerate(sims):
-                self._cursor = i
-                a0 = self._act
-                for fork in sim._fork_list:
-                    if fork.pending:
-                        fork.drain(self)
-                sim.tick(now)
-                if self._act != a0 and not in_defer[i] \
-                        and not sim.precise_wakes:
-                    in_defer[i] = 1
-                    defer.append(i)
-            self._in_full = False
-        else:
-            heap = self._ready
-            in_ready = self._in_ready
-            while heap:
-                idx = heappop(heap)
-                in_ready[idx] = 0
-                self._cursor = idx
-                sim = sims[idx]
-                a0 = self._act
-                for fork in sim._fork_list:
-                    if fork.pending:
-                        fork.drain(self)
-                sim.tick(now)
-                if self._act != a0 and not in_defer[idx] \
-                        and not sim.precise_wakes:
-                    # The node acted; like the dense sweep it gets
-                    # another look next cycle (it may act again).
-                    in_defer[idx] = 1
-                    defer.append(idx)
+        # _next is empty (nothing can defer-wake this instance earlier
+        # in its own cycle), so the self-rearm below can OR into it
+        # without _wake_next's promote check.
+        self._next_from = now
+        # Step the lowest woken node until none is left.  A step may
+        # wake nodes above the cursor, so the mask is re-read each time.
+        ready = self._ready
+        while ready:
+            low = ready & -ready
+            self._ready = ready ^ low
+            idx = low.bit_length() - 1
+            self._cursor = idx
+            sim = sims[idx]
+            a0 = self._act
+            for fork in sim._fork_list:
+                if fork.pending:
+                    fork.drain(self)
+            sim.tick(now)
+            if self._act != a0 and not sim.precise_wakes:
+                # The node acted; like the dense sweep it gets
+                # another look next cycle (it may act again).
+                self._next |= low
+            ready = self._ready
         self._sweeping = False
         self._cursor = -1
         if self._dirty:
@@ -543,10 +490,7 @@ class DataflowInstance:
                 if ch.commit():
                     self._act += 1
                 if len(ch.queue) > depth:
-                    idx = ch.consumer_idx
-                    if not in_defer[idx]:
-                        in_defer[idx] = 1
-                        defer.append(idx)
+                    self._next |= 1 << ch.consumer_idx
                 if ch.pre:
                     # Two-stage edge still holds an in-flight token:
                     # it must commit again next cycle.
@@ -575,14 +519,10 @@ class DataflowInstance:
         :mod:`repro.sim.compile`, which folds in the fork pre-drain,
         the sweep-cursor update and (for non-precise kinds) the
         acted-so-look-again rearm — so the sweep itself is a bare
-        dispatch loop.  Two further inlines on top: the ``_promote``
-        call is guarded by its own precondition (a guarded no-op
-        otherwise), and fault-free instances commit their dirty
+        dispatch loop.  Fault-free instances also commit their dirty
         channels with :meth:`Channel.commit`'s body inlined (fault
         channels override ``commit``, so those keep the dynamic call).
         """
-        if self._defer or self._full_next:
-            self._promote()
         gap = now - self.last_processed - 1
         if gap > 0:
             self.idle_cycles += gap
@@ -597,26 +537,13 @@ class DataflowInstance:
         self.force_check = False
         steps = self._steps
         self._sweeping = True
-        defer = self._defer
-        in_defer = self._in_defer
-        self._defer_from = now
-        if self.full_wake or 2 * len(self._ready) >= len(steps):
-            self.full_wake = False
-            self._in_full = True
-            for idx in self._ready:
-                self._in_ready[idx] = 0
-            self._ready.clear()
-            for step in steps:
-                step(now)
-            self._in_full = False
-        else:
-            heappop = heapq.heappop
-            heap = self._ready
-            in_ready = self._in_ready
-            while heap:
-                idx = heappop(heap)
-                in_ready[idx] = 0
-                steps[idx](now)
+        self._next_from = now
+        ready = self._ready
+        while ready:
+            low = ready & -ready
+            self._ready = ready ^ low
+            steps[low.bit_length() - 1](now)
+            ready = self._ready
         self._sweeping = False
         self._cursor = -1
         if self._dirty:
@@ -648,10 +575,7 @@ class DataflowInstance:
                         staged.clear()
                         act += 1
                     if len(queue) > depth:
-                        idx = ch.consumer_idx
-                        if not in_defer[idx]:
-                            in_defer[idx] = 1
-                            defer.append(idx)
+                        self._next |= 1 << ch.consumer_idx
                     if pre:
                         self._dirty.append(ch)
                         carry = True
@@ -664,10 +588,7 @@ class DataflowInstance:
                     if ch.commit():
                         self._act += 1
                     if len(ch.queue) > depth:
-                        idx = ch.consumer_idx
-                        if not in_defer[idx]:
-                            in_defer[idx] = 1
-                            defer.append(idx)
+                        self._next |= 1 << ch.consumer_idx
                     if ch.pre:
                         self._dirty.append(ch)
                         carry = True
@@ -690,8 +611,7 @@ class DataflowInstance:
         schedule a check wake for exactly that cycle; and snapshot the
         stall causes so the slept cycles can be attributed on wakeup.
         """
-        if self._ready or self._defer or self.full_wake or \
-                self._full_next or self._carry:
+        if self._ready or self._next or self._carry:
             # A wake is already queued: we process again next cycle,
             # so there is no sleep episode to arm or attribute.
             return
@@ -864,7 +784,7 @@ class TaskBlockSim:
     # -- event kernel ------------------------------------------------------
     def _unpark(self, inst: DataflowInstance, now: int) -> None:
         inst.idle_cycles = 0
-        inst.full_wake = True
+        inst._ready = inst._all
         inst.last_processed = now - 1
         inst._sleep_attr = None
         self.active.append(inst)
@@ -924,12 +844,13 @@ class TaskBlockSim:
         finished: List[DataflowInstance] = []
         parked: List[DataflowInstance] = []
         for inst in self.active:
-            # Inlined inst.needs_tick() — this is the hottest guard in
-            # the kernel (every active instance, every cycle).
-            if inst._defer or inst._full_next:
-                inst._promote()
-            if not (inst._ready or inst.full_wake or inst.force_check
-                    or inst._carry):
+            # Promote wakes queued in an earlier cycle — this is the
+            # hottest guard in the kernel (every active instance,
+            # every cycle).
+            if inst._next and inst._next_from < now:
+                inst._ready |= inst._next
+                inst._next = 0
+            if not (inst._ready or inst.force_check or inst._carry):
                 continue            # asleep: provably activity-free
             inst.process(now)
             if inst._act:

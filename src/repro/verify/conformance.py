@@ -233,7 +233,7 @@ class ConformanceFuzzer:
                          deadlock_window=self.deadlock_window,
                          kernel=kernel or self.kernel,
                          observe="counters",
-                         faults=plan, compile_fallback=False,
+                         faults=plan,
                          wallclock_timeout=self.wallclock_timeout)
 
     def _run(self, workload: str, variant: str, spec: str,

@@ -28,6 +28,7 @@ import pytest
 
 from repro.api import execute
 from repro.api.requests import EVAL_SCHEMA, EvaluationRequest
+from repro.cli import main
 from repro.dse import EXPLORE_SCHEMA, GridSpace, explore
 from repro.dse.engine import PointResult, RetryPolicy
 from repro.errors import ReproError
@@ -258,6 +259,23 @@ class TestErrors:
         assert resp.error["family"] == "deterministic"
         assert resp.error["exit_code"] != 0
         assert "no_such_pass" in resp.error["message"]
+
+    def test_failed_batch_exits_like_scalar(self, server, tmp_path,
+                                            capsys):
+        # Served twin of the local ``simulate --batch`` failure: lanes
+        # that never finished exit with the scalar code, not 1.
+        path = tmp_path / "k.mc"
+        path.write_text(SRC)
+        run = ["client", "evaluate", str(path), "--args", "16", "2.0",
+               "--max-cycles", "50", "--quiet",
+               "--address", server().address]
+        assert main(run) == 6
+        capsys.readouterr()
+        assert main(run + ["--batch", "2"]) == 6
+        captured = capsys.readouterr()
+        assert "MISMATCH" not in captured.out
+        assert "lane 0: SimulationTimeout: exceeded max_cycles=50" in \
+            captured.err
 
     def test_malformed_request_rejected_with_error_event(self, server):
         client = client_for(server())

@@ -17,7 +17,7 @@ import textwrap
 import pytest
 
 from repro.core.lanes import LaneValues, lane_fingerprint
-from repro.errors import LaneDivergence
+from repro.errors import LaneDivergence, SimulationTimeout
 from repro.frontend import compile_minic, translate_module
 from repro.frontend.interp import Memory
 from repro.sim import SimParams, simulate, simulate_batch
@@ -219,6 +219,38 @@ func main(a: i32, b: i32) {
         assert err["input_fingerprint"] == \
             lane_fingerprint(args_lanes[1], before)
         assert batch.errors[0] is None and batch.errors[2] is None
+
+    def test_identical_failing_lanes_run_once(self, monkeypatch):
+        # Lanes with the same args and input image fail the same way:
+        # the vectorized attempt's error is every lane's, with no
+        # sequential re-runs.
+        from repro.sim.engine import Simulator
+        w = WORKLOADS["saxpy"]
+        circuit = translate_module(w.module(), name="saxpy_timeout")
+        args = list(w.args_for())
+        params = SimParams(kernel="compiled", max_cycles=50)
+        with pytest.raises(SimulationTimeout) as scalar:
+            simulate(circuit, w.fresh_memory(), args, params)
+        runs = []
+        real = Simulator._run_kernel
+
+        def counting(self, *a, **kw):
+            runs.append(1)
+            return real(self, *a, **kw)
+
+        monkeypatch.setattr(Simulator, "_run_kernel", counting)
+        lanes = [w.fresh_memory() for _ in range(3)]
+        before = list(lanes[0].words)
+        batch = simulate_batch(circuit, lanes, [args] * 3, params)
+        assert len(runs) == 1
+        assert batch.results == [None, None, None]
+        for i, err in enumerate(batch.errors):
+            assert err["error"] == "SimulationTimeout"
+            assert err["message"] == str(scalar.value)
+            assert err["exit_code"] == 6
+            assert err["lane"] == i
+            assert err["input_fingerprint"] == \
+                lane_fingerprint(args, before)
 
     def test_fault_plan_forces_sequential(self):
         # Satellite policy: an active fault plan runs lanes scalar

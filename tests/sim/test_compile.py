@@ -1,23 +1,20 @@
-"""Compiled-kernel artifact caching, fallback policy, hybrid plan.
+"""Compiled-kernel artifact caching, node-kind coverage, hybrid plan.
 
 Bit-identity of the compiled kernel itself is pinned by the
 equivalence matrix (test_engine_equivalence) and the kernel
 differential fuzz (tests/verify/test_kernel_differential); this file
 covers the machinery around it: the per-fingerprint artifact cache,
-the fallback-vs-raise policy when a circuit cannot be specialized,
-and the interpreted-task hybrid.
+a step compiler for every node kind, and the interpreted-task hybrid.
 """
-
-import warnings
 
 import pytest
 
 from repro.bench.configs import all_opts_for
-from repro.errors import EXIT_CODES, KernelCompileError
 from repro.frontend import translate_module
 from repro.opt.pass_manager import PassManager
 from repro.sim import SimParams, simulate
 from repro.sim import compile as simcompile
+from repro.sim.nodesim import SIM_CLASSES
 from repro.workloads import WORKLOADS
 
 
@@ -72,40 +69,11 @@ class TestArtifactCache:
         assert simcompile.cache_stats()["entries"] == 1
 
 
-class TestFallbackPolicy:
-    def test_fallback_warns_and_records_error(self, monkeypatch):
-        monkeypatch.delitem(simcompile._STEP_COMPILERS, "compute")
-        w, circuit = _build("fib", "baseline")
-        mem = w.fresh_memory()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = simulate(circuit, mem, list(w.args_for()),
-                              SimParams(kernel="compiled"))
-        assert any("falling back" in str(c.message) for c in caught)
-        assert result.compile_error is not None
-        assert result.compile_error["error"] == "KernelCompileError"
-        assert result.compile_error["exit_code"] == 10
-        # The fallback run is a full event-kernel run.
-        assert result.stats.kernel == "event"
-        assert result.cycles > 0
-
-    def test_no_fallback_raises_exit_code_10(self, monkeypatch):
-        monkeypatch.delitem(simcompile._STEP_COMPILERS, "compute")
-        w, circuit = _build("fib", "baseline")
-        mem = w.fresh_memory()
-        with pytest.raises(KernelCompileError):
-            simulate(circuit, mem, list(w.args_for()),
-                     SimParams(kernel="compiled",
-                               compile_fallback=False))
-        assert EXIT_CODES["KernelCompileError"] == 10
-
-    def test_successful_compile_sets_no_error(self):
-        w, circuit = _build("fib", "baseline")
-        mem = w.fresh_memory()
-        result = simulate(circuit, mem, list(w.args_for()),
-                          SimParams(kernel="compiled"))
-        assert result.compile_error is None
-        assert result.stats.kernel == "compiled"
+class TestCoverage:
+    def test_every_node_kind_has_a_step_compiler(self):
+        # Every circuit the simulator accepts compiles, so the
+        # compiled kernel needs no event-kernel fallback.
+        assert set(simcompile._STEP_COMPILERS) == set(SIM_CLASSES)
 
 
 class TestHybridPlan:

@@ -6,7 +6,9 @@ seed (dense) engine on every built-in workload, under both the
 baseline and the full optimization stack.  Any wakeup that is dropped
 or delivered in the wrong cycle — or any compiled specialization that
 diverges from the reference step semantics — shows up as a
-cycle-count or memory mismatch here.
+cycle-count or memory mismatch here.  A second pin, digests of the
+full stats document and of the trace ring, catches changes that keep
+cycles but move stall attribution or event order in both kernels.
 """
 
 import hashlib
@@ -28,6 +30,14 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "seed_cycles.json")
 with open(GOLDEN_PATH) as _fh:
     GOLDEN = json.load(_fh)
+#: Per golden case: digests of the stats document and the trace ring
+#: (see :func:`stats_digests`), recorded before the scheduler's wake
+#: sets became bitmasks, so any change to stall attribution or event
+#: order in either kernel shows up here.
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                            "stats_digests.json")
+with open(DIGESTS_PATH) as _fh:
+    DIGESTS = json.load(_fh)
 
 #: Small/medium workloads exercised per-config in the default run;
 #: the rest of the matrix is gated behind RUN_FULL_MATRIX=1 to keep
@@ -46,15 +56,34 @@ def _mem_digest(mem) -> str:
     return h.hexdigest()[:16]
 
 
-def _run_config(name: str, config: str, kernel: str = "event"):
+def _run_config(name: str, config: str, kernel: str = "event",
+                observe: str = "counters"):
     w = WORKLOADS[name]
     passes = [] if config == "baseline" else all_opts_for(name)
     circuit = translate_module(w.module(), name=f"{name}_{config}")
     PassManager(list(passes)).run(circuit)
     mem = w.fresh_memory()
-    params = SimParams(kernel=kernel)
+    params = SimParams(kernel=kernel, observe=observe)
     result = simulate(circuit, mem, list(w.args_for()), params)
     return result, mem
+
+
+def _digest(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def stats_digests(name: str, config: str, kernel: str) -> dict:
+    """Digests of one traced run: the full ``SimStats`` document minus
+    its ``kernel`` label, and the trace ring in emit order (plus its
+    drop count).  The stats document of a traced run equals the one
+    of a ``counters`` run, so one run pins both."""
+    result, _ = _run_config(name, config, kernel=kernel, observe="trace")
+    doc = result.stats.to_json()
+    doc.pop("kernel")
+    ring = [list(rec) for rec in result.observer.ring]
+    return {"stats": _digest(doc),
+            "trace": _digest([ring, result.observer.dropped])}
 
 
 class TestEventKernelEquivalence:
@@ -83,6 +112,24 @@ class TestEventKernelEquivalence:
         assert _mem_digest(mem) == golden["mem"]
         assert list(result.results) == golden["results"]
 
+    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    @pytest.mark.parametrize("config", ["baseline", "allopts"])
+    @pytest.mark.parametrize("name", FAST_MATRIX)
+    def test_stats_and_trace_match_digests(self, name, config, kernel):
+        key = f"{name}/{config}"
+        assert stats_digests(name, config, kernel) == DIGESTS[key], (
+            f"{key}: {kernel} kernel stats document or trace diverged")
+
+    @pytest.mark.slow
+    @full_matrix
+    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    @pytest.mark.parametrize("config", ["baseline", "allopts"])
+    @pytest.mark.parametrize("name", SLOW_MATRIX)
+    def test_stats_and_trace_match_digests_slow(self, name, config,
+                                                kernel):
+        key = f"{name}/{config}"
+        assert stats_digests(name, config, kernel) == DIGESTS[key]
+
     @pytest.mark.parametrize("name", ["saxpy", "fib"])
     def test_compiled_stats_identical_to_event(self, name):
         # Bit identity extends to the observability layer: every
@@ -107,6 +154,7 @@ class TestEventKernelEquivalence:
         for name in WORKLOADS:
             assert f"{name}/baseline" in GOLDEN
             assert f"{name}/allopts" in GOLDEN
+        assert set(DIGESTS) == set(GOLDEN)
 
 
 class TestStallAttribution:
@@ -203,3 +251,13 @@ class TestStatsJsonSchema:
         assert doc["kernel"] == "event"
         assert isinstance(doc["stall_cycles"], dict)
         assert isinstance(doc["node_stalls"], dict)
+
+
+if __name__ == "__main__":
+    # Re-record golden/stats_digests.json (event kernel; the compiled
+    # kernel must agree, which the digest tests check).
+    digests = {key: stats_digests(*key.split("/"), kernel="event")
+               for key in sorted(GOLDEN)}
+    with open(DIGESTS_PATH, "w") as _fh:
+        json.dump(digests, _fh, indent=1, sort_keys=True)
+        _fh.write("\n")

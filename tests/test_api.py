@@ -135,6 +135,22 @@ class TestSourcePipelines:
         assert pipe.verified is True
 
 
+class TestWorkloadArgs:
+    # A workload run is checked against the interpreter on the run's
+    # own args and input image, not the default-args golden image.
+    def test_non_default_args_verify(self):
+        resp = execute(EvaluationRequest(workload="saxpy",
+                                         args=(256, 3.0)))
+        assert resp.ok, resp.error
+        assert resp.evaluation["verified"] is True
+
+    def test_batch_lanes_with_different_args_verify(self):
+        resp = execute(EvaluationRequest(
+            workload="saxpy", args_list=[(256, 2.5), (256, 3.0)]))
+        assert resp.ok, resp.error
+        assert [doc["verified"] for doc in resp.lanes] == [True, True]
+
+
 class TestFromCircuit:
     def test_wraps_existing_circuit(self):
         donor = Pipeline("saxpy").optimize("localize")

@@ -116,6 +116,19 @@ class TestSimulate:
         assert "behavior vs interpreter: OK (all lanes)" in batched
         assert cycles_line(batched) == cycles_line(scalar)
 
+    def test_failed_batch_exits_like_scalar(self, src_file, capsys):
+        # A lane that never finished is a failure, not a behaviour
+        # mismatch: the batch exits with its scalar run's code.
+        run = ["simulate", src_file, "--args", "16", "2.0",
+               "--max-cycles", "50"]
+        assert main(run) == 6
+        capsys.readouterr()
+        assert main(run + ["--batch", "2"]) == 6
+        captured = capsys.readouterr()
+        assert "MISMATCH" not in captured.out
+        assert "lane 1: SimulationTimeout: exceeded max_cycles=50" in \
+            captured.err
+
     def test_compiled_kernel(self, src_file, capsys):
         assert main(["simulate", src_file, "--args", "16", "2.0",
                      "--seed", "5", "--kernel", "compiled"]) == 0
@@ -137,32 +150,6 @@ class TestSimulate:
                      "--kernel", "compiled",
                      "--trace-out", tracep]) == 0
         assert json.load(open(tracep))["traceEvents"]
-
-    def test_compiled_fallback_notice(self, src_file, capsys,
-                                      monkeypatch):
-        import warnings
-        from repro.sim import compile as simcompile
-        simcompile.clear_cache()
-        monkeypatch.delitem(simcompile._STEP_COMPILERS, "compute")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["simulate", src_file, "--args", "16", "2.0",
-                         "--kernel", "compiled"]) == 0
-        captured = capsys.readouterr()
-        assert "behavior vs interpreter: OK" in captured.out
-        assert "compiled kernel unavailable" in captured.err
-        simcompile.clear_cache()
-
-    def test_compiled_no_fallback_exits_10(self, src_file, capsys,
-                                           monkeypatch):
-        from repro.sim import compile as simcompile
-        simcompile.clear_cache()
-        monkeypatch.delitem(simcompile._STEP_COMPILERS, "compute")
-        assert main(["simulate", src_file, "--args", "16", "2.0",
-                     "--kernel", "compiled",
-                     "--no-kernel-fallback"]) == 10
-        assert "cannot specialize" in capsys.readouterr().err
-        simcompile.clear_cache()
 
     def test_simulate_source_lines_in_profile(self, src_file, capsys):
         assert main(["simulate", src_file, "--args", "16", "2.0",
