@@ -10,8 +10,8 @@ translator's ordering edges are genuinely exercised.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Callable, Dict, List, Optional
+from collections import defaultdict, deque
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.structures import Cache, DRAMModel, Junction, Scratchpad
 from ..errors import SimulationError
@@ -215,11 +215,9 @@ class CacheSim(StructureSim):
                     // (cache.line_words * cache.banks))
         self.ways = max(1, cache.ways)
         self.sets = max(1, lines // self.ways)
-        # tags[bank][set] = LRU-ordered deque of resident line ids
-        # (most recent at the right).
-        self.tags: List[List[deque]] = [
-            [deque() for _ in range(self.sets)]
-            for _ in range(cache.banks)]
+        # tags[bank, set] = LRU-ordered deque of resident line ids
+        # (most recent at the right), built at the set's first access.
+        self.tags: Dict[Tuple[int, int], deque] = defaultdict(deque)
         self.pending: List = []
         self._seq = 0
         # line id -> list of requests waiting on the fill (MSHR).
@@ -252,7 +250,7 @@ class CacheSim(StructureSim):
     def _access(self, req: MemRequest, bank: int, now: int) -> None:
         line = self._line_of(req.addr)
         set_idx = self._set_of(line)
-        resident = self.tags[bank][set_idx]
+        resident = self.tags[bank, set_idx]
         if line in resident:
             resident.remove(line)
             resident.append(line)  # LRU touch
@@ -277,7 +275,7 @@ class CacheSim(StructureSim):
         self.dram.submit(fill)
 
     def _fill(self, line: int, bank: int, set_idx: int) -> None:
-        resident = self.tags[bank][set_idx]
+        resident = self.tags[bank, set_idx]
         if line not in resident:
             if len(resident) >= self.ways:
                 resident.popleft()  # evict LRU (write-through: clean)
