@@ -13,8 +13,8 @@ Methodology follows bench_sim_throughput.py:
 * **Interleaved** timing — one iteration of every batch size per
   round, repeated, taking the per-size minimum, so the minima see the
   same machine state.
-* **Circuit built once** per workload and reused; the compiled kernel
-  hits its object-identity memo exactly as in real DSE usage.
+* **Circuit built once** per workload and reused, as in real DSE
+  usage.
 * Per-lane inputs perturbed in their float words so the payload
   genuinely diverges across lanes (the vectorized path is the one
   being measured, not a degenerate all-identical batch), while the

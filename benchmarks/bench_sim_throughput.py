@@ -11,11 +11,10 @@ Methodology (what several rounds of container benchmarking taught):
   repeated, taking the per-kernel minimum.  Back-to-back blocks per
   kernel read 30-60% run-to-run noise on shared machines; interleaving
   makes the minima see the same machine state.
-* **Circuit built once** per workload and reused across runs.  This is
-  the real usage pattern (DSE evaluates one circuit many times) and it
-  lets the compiled kernel hit its object-identity memo instead of
-  re-fingerprinting per run — rebuilding per run would charge the
-  cache key to every single simulation.
+* **Circuit built once** per workload and reused across runs, the
+  real usage pattern (DSE evaluates one circuit many times), so the
+  timings hold simulations, not front ends.  The compiled kernel
+  builds its plan in every run, as it always does.
 * Fresh memory per run, ``observe="off"``, ``validate=False`` so the
   measurement is the kernel loop, not instrumentation.
 

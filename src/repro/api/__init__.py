@@ -203,9 +203,9 @@ class Pipeline:
         """A fresh Pipeline over this one's front end.
 
         The module, circuit and pass log are shared, so a front end
-        built once (:func:`build_front`) serves many evaluations and
-        keeps the compiled kernel's identity memo warm; result state
-        (sim, memory, synth) starts empty, so nothing leaks between
+        built once (:func:`build_front`) serves many evaluations
+        without translating or optimizing again; result state (sim,
+        memory, synth) starts empty, so nothing leaks between
         evaluations.  The serve worker's LRU and DSE groups run every
         evaluation on a fork.
         """
@@ -264,9 +264,6 @@ class Pipeline:
             self.sim = simulate(self.circuit, memory, list(args),
                                 params)
             _sp.set(cycles=self.sim.cycles)
-        if telemetry.enabled():
-            from ..core.serialize import circuit_fingerprint
-            telemetry.note_fingerprint(circuit_fingerprint(self.circuit))
         self.memory = memory
         if not check:
             self.verified = None
@@ -495,8 +492,7 @@ def build_front(request: EvaluationRequest) -> Pipeline:
     serve worker caches the result across requests (the hot-circuit
     LRU) and a DSE group builds it once for all its points; both
     evaluate on :meth:`Pipeline.fork` copies of it, re-simulating the
-    same circuit object — which also keeps the object-identity
-    compiled-kernel memo warm.
+    same circuit object.
     """
     pipe = Pipeline(request.workload if request.workload is not None
                     else request.source,

@@ -183,12 +183,6 @@ class AcceleratorCircuit:
     def edges_from(self, parent: str) -> List[TaskEdge]:
         return [e for e in self.task_edges if e.parent == parent]
 
-    def edge_between(self, parent: str, child: str) -> Optional[TaskEdge]:
-        for e in self.task_edges:
-            if e.parent == parent and e.child == child:
-                return e
-        return None
-
     def children(self, parent: str) -> List[TaskBlock]:
         return [self.tasks[e.child] for e in self.edges_from(parent)]
 

@@ -45,11 +45,6 @@ class Port:
     def is_input(self) -> bool:
         return self.direction == "in"
 
-    @property
-    def is_connected(self) -> bool:
-        return self.incoming is not None if self.is_input \
-            else bool(self.outgoing)
-
     def label(self) -> str:
         return f"{self.node.name}.{self.name}"
 
@@ -126,9 +121,6 @@ class Node:
         except KeyError:
             raise GraphError(
                 f"node {self.name} ({self.KIND}) has no port {name!r}")
-
-    def has_port(self, name: str) -> bool:
-        return name in self._port_map
 
     # -- topology helpers ---------------------------------------------------
     def predecessors(self) -> Iterator["Node"]:

@@ -103,10 +103,6 @@ class Cache(Structure):
     def lines_per_bank(self) -> int:
         return max(1, self.size_words // (self.line_words * self.banks))
 
-    @property
-    def sets_per_bank(self) -> int:
-        return max(1, self.lines_per_bank // self.ways)
-
     def describe(self) -> str:
         return (f"cache[{self.size_words}w, {self.banks}b, "
                 f"{self.ways}way, line={self.line_words}w, "
@@ -183,10 +179,6 @@ class PerfCounterBank(Structure):
     def add_counter(self, counter: CounterSpec) -> CounterSpec:
         self.counters.append(counter)
         return counter
-
-    @property
-    def total_bits(self) -> int:
-        return sum(c.width for c in self.counters)
 
     def describe(self) -> str:
         return (f"perf_counters[{len(self.counters)} x 32b"

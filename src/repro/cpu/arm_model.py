@@ -148,8 +148,3 @@ class ArmA9Model:
         interp.run(*args)
         return CpuResult(cycles=state["cycles"],
                          instructions=state["instrs"])
-
-
-def estimate_cpu(module: Module, memory: Optional[Memory], *args) -> CpuResult:
-    """One-shot helper mirroring :func:`repro.sim.simulate`."""
-    return ArmA9Model(module).run(memory, *args)

@@ -52,7 +52,7 @@ from ..api import EvaluationRequest, build_front, execute
 from ..core.serialize import circuit_fingerprint
 from ..errors import ReproError, SweepInterrupted, failure_document
 from ..opt import parse_pass_specs, spec_to_string
-from ..sim import SimParams, precompile
+from ..sim import SimParams
 from ..supervise import (RetryPolicy, SupervisedPool, Task,
                          default_workers, maybe_chaos)
 from ..workloads import get_workload
@@ -349,9 +349,8 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
     fork of it — the evaluator, and the circuit as built, that
     ``repro simulate`` and the serve daemon use.  What stays here is
     sweep-specific: the content-store lookup under the group's circuit
-    fingerprint, and compiled-kernel specialization into the identity
-    memo at the first point that is simulated (a group the result
-    cache answers compiles nothing).
+    fingerprint.  A point the result cache answers simulates nothing,
+    so it compiles nothing either.
 
     Returns one plain dict per payload (never raises): ``{"index",
     "ok", "source", "key", "fingerprint", "doc" | "error", "wall_s"}``,
@@ -398,10 +397,6 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
             if doc is not None:
                 out.update(ok=True, source="cache", doc=doc)
             else:
-                if params.kernel == "compiled":
-                    # Compiled once per group, at its first simulated
-                    # point, under the fingerprint we already paid for.
-                    precompile(front.circuit, fingerprint)
                 response = execute(request, pipeline=front.fork())
                 if response.ok:
                     doc = {k: response.evaluation[k]

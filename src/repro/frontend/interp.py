@@ -6,8 +6,7 @@ expected memory images, and every uIR simulation is checked against it
 never change behavior).  ``Pipeline._verify`` re-runs each checked
 evaluation here on the run's own input image and arguments.  The HLS
 and ARM baseline cycle models read its block trace through
-``block_hook`` (one call per block visit, in execution order), not
-:class:`ExecStats`.
+``block_hook`` (one call per block visit, in execution order).
 
 Each function an :class:`Interpreter` runs is decoded once, at its
 first call, into per-block records: the block's phi moves keyed by
@@ -17,9 +16,8 @@ addresses resolved at decode time) and its terminator.  Every
 activation frame starts as a copy of the function's constants and
 global bases, so each operand is one dict lookup.  Decoding never
 raises: a malformed op fails only when it executes.  Nothing is kept
-across interpreters, because the IR is mutable.  ``Interpreter.stats``
-is derived when read, from per-block visit counts times each block's
-static instruction mix; the step limit is checked once per block.
+across interpreters, because the IR is mutable.  The step limit is
+checked once per block.
 
 The reference stays independent of the simulator it checks: it shares
 no op evaluators with it (nothing from ``repro.sim``,
@@ -37,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from collections import Counter
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -132,23 +129,6 @@ class Memory:
         return list(self.words)
 
 
-class ExecStats:
-    """Dynamic statistics of an interpreter's runs."""
-
-    def __init__(self):
-        self.instr_count = 0
-        self.opcode_counts: Counter = Counter()
-        self.block_counts: Counter = Counter()
-        self.memory_accesses = 0
-        self.spawned_tasks = 0
-        self.call_counts: Counter = Counter()
-
-    def __repr__(self) -> str:
-        return (f"ExecStats(instrs={self.instr_count}, "
-                f"mem={self.memory_accesses}, "
-                f"spawns={self.spawned_tasks})")
-
-
 class Interpreter:
     """Executes a module's ``main`` against a :class:`Memory`."""
 
@@ -159,31 +139,6 @@ class Interpreter:
         self.block_hook = block_hook
         self._code: Dict[Function, _Code] = {}
         self._steps = 0
-
-    @property
-    def stats(self) -> ExecStats:
-        """Derived when read: each decoded block's visit count times its
-        static instruction mix (phis, straight-line instructions,
-        ``sync`` and the terminator are instructions; a ``detach`` is a
-        spawn)."""
-        stats = ExecStats()
-        for code in self._code.values():
-            for b in code.blocks:
-                n = b.visits
-                if not n:
-                    continue
-                stats.instr_count += n * b.size
-                stats.block_counts[
-                    f"{b.block.function.name}:{b.block.name}"] += n
-                if b.kind == _DETACH:
-                    stats.spawned_tasks += n
-                for instr in b.instrs:
-                    stats.opcode_counts[instr.opcode] += n
-                    if isinstance(instr, Call):
-                        stats.call_counts[instr.callee.name] += n
-                    elif instr.opcode in MEMORY_OPS:
-                        stats.memory_accesses += n
-        return stats
 
     # ------------------------------------------------------------------
     def run(self, *args):
@@ -216,7 +171,6 @@ class Interpreter:
         try:
             while index != stop:
                 b = blocks[index]
-                b.visits += 1
                 if hook is not None:
                     hook(b.block)
                 self._steps += b.size
@@ -282,26 +236,24 @@ class _Block:
 
     ``phis`` maps a predecessor's index to the step running the block's
     phi moves (None without phis); ``body`` holds the steps of the
-    straight-line instructions ``instrs`` (``sync`` is a no-op, so it
-    has no step); ``kind`` is the terminator, with its operand ``arg``
-    and block indices ``succ``/``alt``; ``size`` is the number of
-    instructions a visit executes.  ``visits`` counts executions.
+    straight-line instructions (``sync`` is a no-op, so it has no
+    step); ``kind`` is the terminator, with its operand ``arg`` and
+    block indices ``succ``/``alt``; ``size`` is the number of
+    instructions a visit executes.
     """
 
-    __slots__ = ("block", "phis", "body", "instrs", "kind", "arg",
-                 "succ", "alt", "size", "visits")
+    __slots__ = ("block", "phis", "body", "kind", "arg", "succ", "alt",
+                 "size")
 
     def __init__(self, block: BasicBlock):
         self.block = block
         self.phis: Optional[Dict[int, Step]] = None
         self.body: Tuple[Step, ...] = ()
-        self.instrs: Tuple[Instruction, ...] = ()
         self.kind = _FALL
         self.arg: Optional[Value] = None
         self.succ: Optional[int] = None
         self.alt: Optional[int] = None
         self.size = 0
-        self.visits = 0
 
 
 def _split(block: BasicBlock):
@@ -353,8 +305,8 @@ def _decode(function: Function, memory: Memory, interp) -> _Code:
                         b.phis[index[pred]] = _phi_moves(phis, pred)
         for instr in body:
             note(instr.operands)
-        b.instrs = tuple(i for i in body if not isinstance(i, Sync))
-        b.body = tuple(_decode_step(i, memory, interp) for i in b.instrs)
+        b.body = tuple(_decode_step(i, memory, interp) for i in body
+                       if not isinstance(i, Sync))
         b.size = len(phis) + len(body) + (term is not None)
         if term is not None:
             note(term.operands)
@@ -643,10 +595,3 @@ _COMPUTE: Dict[str, Callable] = {
     "tsub": lambda a, b: tuple(x - y for x, y in zip(a, b)),
     "trelu": lambda a: tuple(v if v > 0 else 0.0 for v in a),
 }
-
-
-def run_module(module: Module, memory: Optional[Memory] = None, *args):
-    """One-shot helper: interpret ``main(*args)`` and return (ret, interp)."""
-    interp = Interpreter(module, memory)
-    result = interp.run(*args)
-    return result, interp

@@ -38,13 +38,10 @@ INT_BINOPS = {"add", "sub", "mul", "div", "rem",
               "and", "or", "xor", "shl", "lshr", "ashr"}
 FLOAT_BINOPS = {"fadd", "fsub", "fmul", "fdiv"}
 CMP_OPS = {"eq", "ne", "lt", "le", "gt", "ge"}
-UNARY_OPS = {"neg", "not", "itof", "ftoi", "exp", "sqrt", "abs", "fneg"}
 TENSOR_BINOPS = {"tmul", "tadd", "tsub"}
 TENSOR_UNOPS = {"trelu"}
 MEMORY_OPS = {"load", "store", "tload", "tstore"}
 TERMINATORS = {"br", "condbr", "ret", "detach", "reattach"}
-COMPUTE_OPS = (INT_BINOPS | FLOAT_BINOPS | CMP_OPS | UNARY_OPS
-               | TENSOR_BINOPS | TENSOR_UNOPS | {"select", "gep"})
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +130,6 @@ class Instruction(Value):
         return self.opcode in TERMINATORS or self.opcode == "sync"
 
     @property
-    def is_memory(self) -> bool:
-        return self.opcode in MEMORY_OPS
-
-    @property
-    def is_compute(self) -> bool:
-        return self.opcode in COMPUTE_OPS
-
-    @property
     def is_phi(self) -> bool:
         return self.opcode == "phi"
 
@@ -167,11 +156,6 @@ class Phi(Instruction):
             if b is block:
                 return v
         raise IRError(f"phi {self.name} has no incoming for {block.name}")
-
-    def replace_incoming_block(self, old: "BasicBlock",
-                               new: "BasicBlock") -> None:
-        self.incomings = [(new if b is old else b, v)
-                          for b, v in self.incomings]
 
     def __repr__(self) -> str:
         inc = ", ".join(f"[{b.name}: {v.short()}]" for b, v in self.incomings)

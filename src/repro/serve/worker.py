@@ -3,10 +3,9 @@
 Each pool worker (process or thread) keeps a process-global LRU of
 evaluation *front ends* — translated + optimized circuit objects with
 their pass logs — keyed by the request's group identity.  A warm
-request skips MiniC -> uIR -> uopt entirely, and because the circuit
-*object* is reused, :mod:`repro.sim.compile`'s object-identity memo
-keeps the specialized compiled kernel pinned too: the expensive half
-of an evaluation amortizes across every request for the same design.
+request skips MiniC -> uIR -> uopt entirely.  Nothing is kept for
+the simulator: every run compiles its circuit, which costs less than
+the hash that would look a kept plan up.
 
 Only plain JSON documents cross the process boundary (request docs
 in, response docs out); everything stateful stays worker-local.
@@ -41,17 +40,12 @@ class _FrontLRU:
         self.capacity = capacity
         self._entries: "OrderedDict[str, Pipeline]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: str) -> Optional[Pipeline]:
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
 
     def put(self, key: str, entry: Pipeline) -> None:
@@ -60,11 +54,6 @@ class _FrontLRU:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = 0
 
 
 _LRU = _FrontLRU()
@@ -189,16 +178,6 @@ def run_docs(docs: Sequence[Dict]) -> List[Dict]:
     if len(docs) == 1:
         return [run_payload(docs[0])]
     return run_group_payload(docs)
-
-
-def lru_counts() -> Dict[str, int]:
-    """This worker's LRU tallies (test/debug introspection)."""
-    return {"hits": _LRU.hits, "misses": _LRU.misses,
-            "entries": len(_LRU._entries)}
-
-
-def reset_lru() -> None:
-    _LRU.clear()
 
 
 def _error_response(exc: BaseException, t0: float,

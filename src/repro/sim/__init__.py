@@ -9,7 +9,6 @@ table).  It is also a *functional* executor: results are checked
 against the reference interpreter in the test suite.
 """
 
-from .compile import compiled_for, precompile  # noqa: F401
 from .engine import (BatchResult, SimParams, SimResult,  # noqa: F401
                      Simulator, simulate, simulate_batch)
 from .faults import FaultInjector, FaultPlan  # noqa: F401

@@ -4,12 +4,12 @@ Three kernels produce bit-identical results (same ``SimResult.cycles``,
 same memory image, same outputs):
 
 * ``kernel="compiled"`` (default) — the event kernel's scheduler
-  driving per-node step closures specialized once per circuit
+  driving per-node step closures specialized once per run
   (:mod:`repro.sim.compile`): no per-tick ``isinstance``/attribute
-  dispatch on the hot path.  Compiled artifacts are cached per
-  circuit fingerprint (the circuit as built), so repeated
-  evaluations, served requests and the fuzzer pay compilation once
-  per design point; DSE groups compile into the identity memo alone.
+  dispatch on the hot path.  Each run compiles the circuit as it is
+  now (a fraction of a millisecond, less than hashing it), so a
+  circuit a pass has edited since its last run never meets a stale
+  plan.
 * ``kernel="event"`` — wakeup-driven: only components with a pending
   wake are touched each cycle (see :mod:`repro.sim.events` and the
   instance-level machinery in :mod:`repro.sim.task`), and the memory
@@ -128,8 +128,9 @@ class Simulator:
         caller routes dense requests elsewhere."""
         if self.params.kernel != "compiled":
             return self._run_event(args, image=image, batch=batch)
-        from .compile import compiled_for
-        return self._run_event(args, compiled=compiled_for(self.circuit),
+        from .compile import compile_circuit
+        return self._run_event(args,
+                               compiled=compile_circuit(self.circuit),
                                image=image, batch=batch)
 
     def _make_injector(self) -> Optional[FaultInjector]:

@@ -205,7 +205,7 @@ class DataflowInstance:
         self._sleep_attr = None           # stall causes of current sleep
 
         # -- compiled kernel ----------------------------------------------
-        # Bind the task's precompiled step closures to this instance's
+        # Bind the task's compiled step closures to this instance's
         # channels/forks/latencies and shadow ``process`` with the
         # dispatch-free sweep.  Must run after everything above: the
         # binders capture node sims, channels, and instance callbacks.
@@ -214,7 +214,7 @@ class DataflowInstance:
         self._ctask = None
         compiled = runtime.compiled
         if compiled is not None:
-            ctask = compiled.tasks[task.name]
+            ctask = compiled[task.name]
             # Short-lived tasks (no loop controller) stay on the event
             # kernel's reference process — binding closures would cost
             # more than the dispatch they save (see CompiledTask).
@@ -901,7 +901,8 @@ class SimRuntime:
         self.observer = observer
         #: Fault injector of the run (None = fault-free).
         self.faults = faults
-        #: CompiledCircuit artifact (None = interpretive dispatch).
+        #: ``{task name: CompiledTask}`` from :func:`repro.sim.compile.
+        #: compile_circuit` (None = interpretive dispatch).
         self.compiled = compiled
         #: BatchContext when this run steps N lanes at once (payload
         #: values are lane vectors; binders select lane-aware

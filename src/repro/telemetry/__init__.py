@@ -27,7 +27,7 @@ Instrumentation naming scheme (keep it grep-able):
   simulation, ``dse.explore`` / ``fuzz.run`` for sweep drivers;
 * metrics — dotted ``<layer>.<noun>_<verb-or-unit>``:
   ``dse.cache.object_hits``, ``sim.batch.runs``,
-  ``sim.compile.memo_hits``, ``fuzz.violations``.
+  ``fuzz.violations``.
 """
 
 from __future__ import annotations

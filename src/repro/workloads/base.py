@@ -70,13 +70,6 @@ class Workload:
                     f"{self.name}: array {array!r} mismatch "
                     f"(got {got[:4]}..., want {want[:4]}...)")
 
-    def interp_stats(self, variant: str = "base"):
-        """Dynamic statistics from a golden run (for CPU/HLS models)."""
-        mem = self.fresh_memory(variant)
-        interp = Interpreter(self.module(variant), mem)
-        interp.run(*self.args_for(variant))
-        return interp.stats
-
 
 def _values_close(a, b, tol: float = 1e-6) -> bool:
     if len(a) != len(b):

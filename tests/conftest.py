@@ -35,6 +35,23 @@ def assert_equivalent(source, args, init=None, passes=None):
 
 
 @pytest.fixture
+def hashed_circuits(monkeypatch):
+    """Names of the circuits hashed while the test runs: every circuit
+    fingerprint serializes the circuit first, whichever module
+    imported ``circuit_fingerprint``."""
+    from repro.core import serialize
+    names = []
+    to_dict = serialize.circuit_to_dict
+
+    def counting(circuit):
+        names.append(circuit.name)
+        return to_dict(circuit)
+
+    monkeypatch.setattr(serialize, "circuit_to_dict", counting)
+    return names
+
+
+@pytest.fixture
 def saxpy_source():
     return """
 array x: f32[32];

@@ -90,63 +90,44 @@ class TestExploreSerial:
                 workers=1, cache=None, progress=seen.append)
         assert [p.index for p in seen] == [0]
 
-    @pytest.fixture
-    def fingerprint_calls(self, monkeypatch):
-        """Names of circuits the compile cache had to hash itself."""
-        import repro.sim.compile as compile_mod
-        calls = []
-
-        def counting(circuit):
-            calls.append(circuit.name)
-            return "unexpected"
-
-        compile_mod.clear_cache()
-        monkeypatch.setattr(compile_mod, "circuit_fingerprint", counting)
-        return calls
-
     SPACE = GridSpace({"banks": [1, 2],
                        "sim.loop_invocation_window": [1, 2]})
 
     def test_default_kernel_reuses_the_sweep_fingerprint(
-            self, fingerprint_calls, compiles):
-        # A sweep naming no kernel runs the compiled default (one
-        # specialization per pass spec), and each group compiles with
-        # the fingerprint the sweep already computed, so simulate()
-        # never hashes the circuit.
+            self, hashed_circuits, compiles):
+        # A sweep naming no kernel runs the compiled default, which
+        # builds a plan at every simulated point; the only hash is the
+        # sweep's own, one per pass spec, and simulate() adds none.
         report = explore("saxpy", self.SPACE, pipeline=TEMPLATE,
                          workers=1, cache=None)
         assert report.counts["ok"] == 4
-        assert compiles == ["saxpy", "saxpy"]
-        assert fingerprint_calls == []
+        assert compiles == ["saxpy"] * 4
+        assert hashed_circuits == ["saxpy", "saxpy"]
 
     @pytest.fixture
     def compiles(self, monkeypatch):
-        """Names of circuits the compiled kernel specialized."""
+        """Names of circuits the compiled kernel built a plan for."""
         import repro.sim.compile as compile_mod
         names = []
+        build = compile_mod.compile_circuit
 
-        class Counting(compile_mod.CompiledCircuit):
-            __slots__ = ()
+        def counting(circuit):
+            names.append(circuit.name)
+            return build(circuit)
 
-            def __init__(self, circuit, fingerprint=""):
-                names.append(circuit.name)
-                super().__init__(circuit, fingerprint)
-
-        compile_mod.clear_cache()
-        monkeypatch.setattr(compile_mod, "CompiledCircuit", Counting)
+        monkeypatch.setattr(compile_mod, "compile_circuit", counting)
         return names
 
     def test_repeat_sweep_compiles_the_same_circuits(self, compiles):
-        # A group's compiled artifact belongs to the group, not the
-        # process, so a sweep does the same compile work whatever ran
-        # before it.
+        # Nothing compiled is kept between runs, so a sweep does the
+        # same compile work whatever ran before it.
         explore("saxpy", self.SPACE, pipeline=TEMPLATE, workers=1,
                 cache=None)
         first = list(compiles)
         del compiles[:]
         explore("saxpy", self.SPACE, pipeline=TEMPLATE, workers=1,
                 cache=None)
-        assert len(first) == 2          # one per pass spec
+        assert len(first) == 4          # one per simulated point
         assert compiles == first
 
     def test_equal_circuits_in_one_sweep_compile_once(self, tmp_path,

@@ -1,13 +1,12 @@
 """Pins the reference interpreter's outputs on every built-in workload.
 
 For each of the 19 workloads and the tensor variants, digests of the
-final memory words, the returned value, every :class:`ExecStats` field
-(counters in sorted order) and the ``block_hook`` trace (as
-``function:block`` names) must equal the ones recorded in
+final memory words, the returned value and the ``block_hook`` trace
+(as ``function:block`` names) must equal the ones recorded in
 ``golden/interp_digests.json``.  They were recorded with the
 tree-walking interpreter, so a change to how the interpreter executes
-cannot move what it computes, counts or reports to the HLS and ARM
-models without showing up here.
+cannot move what it computes or reports to the HLS and ARM models
+without showing up here.
 
 Re-record with ``PYTHONPATH=src python tests/frontend/test_interp_digests.py``.
 """
@@ -29,20 +28,9 @@ CASES = [name for name in WORKLOADS] + [
     f"{name}/{variant}" for name, w in WORKLOADS.items()
     for variant in w.variants]
 
-STATS_FIELDS = ("instr_count", "opcode_counts", "block_counts",
-                "memory_accesses", "spawned_tasks", "call_counts")
-
-
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _plain(value):
-    """Counters as sorted item lists; everything else as is."""
-    if isinstance(value, dict):
-        return sorted(value.items())
-    return value
 
 
 def interp_digests(case: str) -> dict:
@@ -55,14 +43,11 @@ def interp_digests(case: str) -> dict:
         w.module(variant), mem,
         block_hook=lambda b: trace.append(f"{b.function.name}:{b.name}"))
     returned = it.run(*w.args_for(variant))
-    doc = {
+    return {
         "memory": _digest(mem.words),
         "returned": _digest(returned),
         "trace": _digest(trace),
     }
-    for field in STATS_FIELDS:
-        doc[f"stats.{field}"] = _digest(_plain(getattr(it.stats, field)))
-    return doc
 
 
 def _load() -> dict:

@@ -127,6 +127,18 @@ class TestInstrumentedSeams:
         assert all("." in sp.span_id for sp in opt)
         assert len(telemetry._STATE.fingerprints) == 1
 
+    def test_traced_execute_hashes_the_circuit_once(self,
+                                                    hashed_circuits):
+        # sim.run notes the circuit's fingerprint; nothing else in the
+        # evaluation hashes it.
+        from repro.api import EvaluationRequest, execute
+        telemetry.enable()
+        response = execute(EvaluationRequest(
+            source=SRC, args=(16, 2.0), passes="localize,banking=2"))
+        assert response.ok
+        assert len(hashed_circuits) == 1
+        assert len(telemetry._STATE.fingerprints) == 1
+
     def test_sim_run_span_nested_under_simulate(self):
         tr, _ = telemetry.enable()
         Pipeline(SRC).simulate(args=[16, 2.0], check=False)
