@@ -8,7 +8,7 @@ survive a quiet pytest run.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 def format_table(headers: Sequence[str],

@@ -8,7 +8,7 @@ structures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import GraphError
 from ..types import Type

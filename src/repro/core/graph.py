@@ -18,7 +18,7 @@ Connections model the paper's latency-insensitive links:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import GraphError
 from ..types import Type

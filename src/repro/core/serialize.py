@@ -10,12 +10,12 @@ renders the hierarchy for inspection (one cluster per task block).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..errors import GraphError
-from ..types import Type, parse_type
+from ..types import parse_type
 from .circuit import AcceleratorCircuit, TaskBlock, TaskEdge
-from .graph import Dataflow, Node
+from .graph import Node
 from .nodes import (
     CallNode,
     ComputeNode,

@@ -13,7 +13,7 @@ import contextlib
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import IRError
-from ..types import BOOL, I32, VOID, FloatType, IntType, TensorType, Type
+from ..types import BOOL, I32, VOID, FloatType, TensorType, Type
 from .ir import (
     BasicBlock,
     Branch,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..errors import IRError
-from .ir import BasicBlock, Branch, CondBranch, Detach, Function, Phi
+from .ir import BasicBlock, CondBranch, Function, Phi
 
 
 def predecessors(function: Function) -> Dict[BasicBlock, List[BasicBlock]]:

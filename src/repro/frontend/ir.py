@@ -15,13 +15,12 @@ waits for all children spawned by the current frame.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import IRError, TypeMismatchError
 from ..types import (
     BOOL,
     VOID,
-    BoolType,
     FloatType,
     IntType,
     PointerType,

@@ -10,7 +10,7 @@ paper ingests Cilk through LLVM/Tapir.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..errors import LoweringError
 from ..types import (
@@ -28,18 +28,14 @@ from . import ast
 from .builder import IRBuilder
 from .ir import (
     BasicBlock,
-    Branch,
     Constant,
-    CondBranch,
     Detach,
     Function,
     GlobalArray,
-    Instruction,
     Module,
     Phi,
     Reattach,
     Return,
-    Sync,
     Value,
 )
 

@@ -18,7 +18,7 @@ sequencer with phi nodes for loop-carried values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import TranslationError
 from ..types import BOOL, I32, VOID, Type

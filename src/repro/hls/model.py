@@ -24,7 +24,7 @@ dependent trip counts (SPMV) are handled exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from ..core import oplib
 from ..frontend import cfg as cfg_mod

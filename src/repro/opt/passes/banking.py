@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ...core.circuit import AcceleratorCircuit
-from ...core.structures import Cache, Scratchpad
+from ...core.structures import Cache
 from ...errors import PassError
 from ..pass_manager import Pass, PassResult
 

@@ -11,7 +11,7 @@ paper's Pass 5 example.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ...core import oplib
 from ...core.circuit import AcceleratorCircuit, TaskBlock

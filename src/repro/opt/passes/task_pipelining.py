@@ -9,7 +9,7 @@ decouples every edge, and ``edges``/``children`` narrow the scope.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ...core.circuit import AcceleratorCircuit
 from ..pass_manager import Pass, PassResult

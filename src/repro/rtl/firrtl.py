@@ -17,9 +17,9 @@ so two lowered circuits can be diffed structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from ..core.circuit import AcceleratorCircuit, TaskBlock
+from ..core.circuit import AcceleratorCircuit
 from ..core.structures import Cache, Scratchpad
 
 

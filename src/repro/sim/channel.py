@@ -14,7 +14,7 @@ feeding a loop body).
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from typing import List
 
 
 class Channel:
@@ -188,3 +188,9 @@ class LatchedChannel:
 
     def __repr__(self) -> str:
         return f"LatchedChannel({self.value!r}, set={self.is_set})"
+
+
+def ready_token(ch):
+    """Truthy-iff-ready proxy for a channel's consumer side: a FIFO
+    channel's ``queue`` deque, or the latched channel itself."""
+    return ch.queue if isinstance(ch, Channel) else ch

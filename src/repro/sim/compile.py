@@ -62,7 +62,7 @@ from ..core.lanes import (ctrl, lane_lift_list, lane_lift_pos,
                           lane_unpack_words)
 from ..core.semantics import (poison_value, specialize_compute,
                               specialize_compute_pos)
-from .channel import Channel
+from .channel import ready_token
 from .nodesim import _CallRecord, _MemRecord, LoopControlSim
 from .memory import MemRequest
 
@@ -71,13 +71,8 @@ def _nop(now: int) -> None:
     """Step for nodes that can never act (unwired inputs, no work)."""
 
 
-def _ready_token(ch):
-    """Truthy-iff-ready proxy for a channel's consumer side."""
-    return ch.queue if isinstance(ch, Channel) else ch
-
-
 def _tokens_pops(chans):
-    return (tuple(_ready_token(ch) for ch in chans),
+    return (tuple(ready_token(ch) for ch in chans),
             tuple(ch.pop for ch in chans))
 
 
@@ -171,7 +166,7 @@ def _bind_liveout(sim, inst, data):
     if conn is None:
         return _nop
     ch = inst.channels[id(conn)]
-    token = _ready_token(ch)
+    token = ready_token(ch)
     pop = ch.pop
     index = sim.node.index
     record = inst.record_liveout
@@ -232,7 +227,7 @@ def _bind_compute(sim, inst, data):
             # pipe deque at all.
             if arity == 1:
                 ca, = chans
-                qa = _ready_token(ca)
+                qa = ready_token(ca)
                 pa = ca.pop
 
                 def step(now):
@@ -261,8 +256,8 @@ def _bind_compute(sim, inst, data):
                 return step
             if arity == 2:
                 ca, cb = chans
-                qa = _ready_token(ca)
-                qb = _ready_token(cb)
+                qa = ready_token(ca)
+                qb = ready_token(cb)
                 pa = ca.pop
                 pb = cb.pop
 
@@ -291,9 +286,9 @@ def _bind_compute(sim, inst, data):
 
                 return step
             ca, cb, cc = chans
-            qa = _ready_token(ca)
-            qb = _ready_token(cb)
-            qc = _ready_token(cc)
+            qa = ready_token(ca)
+            qb = ready_token(cb)
+            qc = ready_token(cc)
             pa = ca.pop
             pb = cb.pop
             pc = cc.pop
@@ -324,7 +319,7 @@ def _bind_compute(sim, inst, data):
             return step
         if arity == 1:
             ca, = chans
-            qa = _ready_token(ca)
+            qa = ready_token(ca)
             pa = ca.pop
             if interval == 1:
                 # Fully pipelined FU (II == 1): ``now < next_fire``
@@ -385,8 +380,8 @@ def _bind_compute(sim, inst, data):
             return step
         if arity == 2:
             ca, cb = chans
-            qa = _ready_token(ca)
-            qb = _ready_token(cb)
+            qa = ready_token(ca)
+            qb = ready_token(cb)
             pa = ca.pop
             pb = cb.pop
             if interval == 1:
@@ -445,9 +440,9 @@ def _bind_compute(sim, inst, data):
 
             return step
         ca, cb, cc = chans
-        qa = _ready_token(ca)
-        qb = _ready_token(cb)
-        qc = _ready_token(cc)
+        qa = ready_token(ca)
+        qb = ready_token(cb)
+        qc = ready_token(cc)
         pa = ca.pop
         pb = cb.pop
         pc = cc.pop
@@ -728,10 +723,10 @@ def _bind_select(sim, inst, data):
 def _bind_phi(sim, inst, data):
     node = sim.node
     init_ch = sim.init_chan
-    init_tok = _ready_token(init_ch) if init_ch is not None else None
+    init_tok = ready_token(init_ch) if init_ch is not None else None
     init_pop = init_ch.pop if init_ch is not None else None
     back_ch = sim.back_chan
-    back_tok = _ready_token(back_ch) if back_ch is not None else None
+    back_tok = ready_token(back_ch) if back_ch is not None else None
     back_pop = back_ch.pop if back_ch is not None else None
     fork = sim.out_fork
     final_fork = sim._forks.get(node.final.name)
@@ -822,7 +817,7 @@ def _bind_loopctl(sim, inst, data):
     stoks, spops = _tokens_pops(start_chans) \
         if start_chans is not None else (None, None)
     cont_ch = sim.cont_chan
-    cont_tok = _ready_token(cont_ch) if cont_ch is not None else None
+    cont_tok = ready_token(cont_ch) if cont_ch is not None else None
     cont_pop = cont_ch.pop if cont_ch is not None else None
     index_fork = sim._forks.get(node.index.name)
     active_fork = sim._forks.get(node.active.name)
@@ -984,16 +979,16 @@ def _bind_load(sim, inst, data):
     stats = inst.stats
     on_sink = inst.on_sink_progress
     # Request operands, flattened: addr, [pred], [order].
-    qa = _ready_token(chans[0])
+    qa = ready_token(chans[0])
     pa = chans[0].pop
     qp = pp = qo = po = None
     pos = 1
     if has_pred:
-        qp = _ready_token(chans[1])
+        qp = ready_token(chans[1])
         pp = chans[1].pop
         pos = 2
     if has_order:
-        qo = _ready_token(chans[pos])
+        qo = ready_token(chans[pos])
         po = chans[pos].pop
     out_accept = _fork_accept(out_fork) if out_fork is not None else None
     done_accept = _fork_accept(done_fork) \
@@ -1077,18 +1072,18 @@ def _bind_store(sim, inst, data):
     stats = inst.stats
     on_sink = inst.on_sink_progress
     # Request operands, flattened: addr, data, [pred], [order].
-    qa = _ready_token(chans[0])
+    qa = ready_token(chans[0])
     pa = chans[0].pop
-    qd = _ready_token(chans[1])
+    qd = ready_token(chans[1])
     pd = chans[1].pop
     qp = pp = qo = po = None
     pos = 2
     if has_pred:
-        qp = _ready_token(chans[2])
+        qp = ready_token(chans[2])
         pp = chans[2].pop
         pos = 3
     if has_order:
-        qo = _ready_token(chans[pos])
+        qo = ready_token(chans[pos])
         po = chans[pos].pop
     done_accept = _fork_accept(done_fork) \
         if done_fork is not None else None
@@ -1297,7 +1292,7 @@ def _bind_sync(sim, inst, data):
         return _nop
     if has_order:
         order_ch = inst.channels[id(node.order_in.incoming)]
-        order_tok = _ready_token(order_ch)
+        order_tok = ready_token(order_ch)
         order_pop = order_ch.pop
     done_fork = sim._forks.get(node.done.name)
     forks = sim._fork_list

@@ -138,10 +138,14 @@ class Simulator:
         return FaultInjector(plan) if plan is not None else None
 
     @staticmethod
-    def _attach(err: SimulationError, stats: SimStats,
-                now: int) -> SimulationError:
+    def _attach(err: SimulationError, stats: SimStats, now: int,
+                observer: Optional[Observability] = None) \
+            -> SimulationError:
         """Stamp partial run state onto a failure so repro bundles can
-        ship the SimStats of the doomed run, not just the message."""
+        ship the SimStats of the doomed run, not just the message
+        (stall attribution included: the observer folds its table)."""
+        if observer is not None:
+            observer.fold()
         stats.cycles = now
         err.stats = stats
         return err
@@ -154,12 +158,13 @@ class Simulator:
     # *exactly* max_cycles simulated cycles in both kernels (the old
     # ``>`` allowed one extra cycle).
     class _Watchdog:
-        __slots__ = ("limit", "start")
+        __slots__ = ("limit", "start", "observer")
 
-        def __init__(self, params):
+        def __init__(self, params, observer=None):
             self.limit = params.wallclock_timeout
             self.start = time.perf_counter() if self.limit is not None \
                 else 0.0
+            self.observer = observer
 
         def check(self, now: int, stats: SimStats) -> None:
             if self.limit is not None and \
@@ -168,7 +173,7 @@ class Simulator:
                 if elapsed > self.limit:
                     raise Simulator._attach(
                         WatchdogTimeout(now, elapsed, self.limit),
-                        stats, now)
+                        stats, now, self.observer)
 
     # -- event kernel (also hosts the compiled kernel) ---------------------
     def _run_event(self, args: Sequence, compiled=None, image=None,
@@ -194,7 +199,7 @@ class Simulator:
         idle_cycles = 0
         deadlock_window = params.deadlock_window
         max_cycles = params.max_cycles
-        watchdog = self._Watchdog(params)
+        watchdog = self._Watchdog(params, observer)
         wheel = sched.wheel
         while not runtime.root_done:
             sched.now = now
@@ -215,11 +220,14 @@ class Simulator:
                 if idle_cycles > deadlock_window:
                     raise self._attach(DeadlockError(
                         now, self._deadlock_report(runtime),
-                        self._deadlock_diagnostics(runtime)), stats, now)
+                        self._deadlock_diagnostics(runtime)), stats, now,
+                        observer)
             if now >= max_cycles:
                 raise self._attach(
-                    SimulationTimeout(now, max_cycles), stats, now)
+                    SimulationTimeout(now, max_cycles), stats, now,
+                    observer)
             watchdog.check(now, stats)
+        observer.fold()
         stats.cycles = now
         return SimResult(now, runtime.root_results or [], stats,
                          observer=observer)

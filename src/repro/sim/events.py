@@ -13,7 +13,8 @@ Three structures implement that contract:
 ``TimingWheel``
     cycle -> list of ``(instance, idx)`` wakeups for timer expiries
     (function-unit retirement, initiation intervals, loop issue
-    slots, park checks).  Popped at the top of every cycle, before
+    slots, park checks; a task block's parked-retry time has the block
+    as its target).  Popped at the top of every cycle, before
     any component runs, so a timer wake is visible to the whole
     sweep of its cycle — exactly when the dense engine would have
     noticed the ``now``-dependent condition.

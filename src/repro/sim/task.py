@@ -22,15 +22,24 @@ Two execution kernels share this state:
 
 Event visibility rule (matches the dense sweep order): an event
 produced at cycle *t* is delivered at *t* if its target would still be
-swept later this cycle (block earlier in dict order not yet ticked,
-node index ahead of the sweep cursor), else at *t + 1*.
+swept later this cycle (block later in dict order than the one being
+visited, or the visited block before its instance sweep; node index
+ahead of the sweep cursor), else at *t + 1*.  ``SimRuntime.swept``
+marks the position: blocks below it have had their slot this cycle,
+whether or not they were visited.
 
-An instance keeps its woken nodes in two int bitmasks (bit *i* = node
-*i*): ``_ready`` for this cycle and ``_next`` for the next one.  A
-sweep steps the lowest set bit of ``_ready`` until none is left, so
+Wake sets are int bitmasks at both levels.  An instance keeps its
+woken nodes in ``_ready`` (this cycle) and ``_next`` (the next one);
+a sweep steps the lowest set bit of ``_ready`` until none is left, so
 every woken node steps at most once per cycle, in ascending order; a
 wake above the cursor sets its bit in ``_ready``, one at or below it
-goes to ``_next``, and a full wake sets every bit.
+goes to ``_next``, and a full wake sets every bit.  The runtime keeps
+the blocks with work the same way (``_bready``/``_bnext``, bit *i* =
+block *i*) and visits only those, in block order.  A block has work
+when it has a startable invocation, a parked instance with a child
+response or a due retry, or an active instance with a wake, a park
+check or a carry; every path that creates such work marks the block
+under the visibility rule.  Parked instances are looked at only then.
 """
 
 from __future__ import annotations
@@ -50,6 +59,8 @@ from .stats import SimStats
 PARK_IDLE_THRESHOLD = 8
 #: Dense retries an enqueue-blocked park after this many cycles.
 PARK_RETRY_CYCLES = 16
+#: ``TaskBlockSim.retry_at`` when no parked instance awaits a retry.
+NEVER = 1 << 62
 
 
 class TaskInvocation:
@@ -68,20 +79,22 @@ class TaskInvocation:
 
 
 class _TaskStatic:
-    """Invocation-invariant wiring of one task block, computed once.
+    """Invocation-invariant wiring of one task block, computed once per
+    run.
 
     Instance construction is on the hot path for spawn-heavy
     workloads (one instance per child task), so everything derivable
     from the static dataflow graph — channel parameters, latch sites,
-    node-kind index lists — is precomputed here and shared by every
-    instance of the task.
+    node-kind index lists, stall-attribution keys — is precomputed
+    here and shared by every instance of the task.
     """
 
     __slots__ = ("conns", "latched", "const_latches", "livein_latches",
                  "loop_conditional", "sink_idxs", "effect_sink_idxs",
-                 "mem_idxs", "call_idxs", "loopctl_idxs")
+                 "mem_idxs", "call_idxs", "loopctl_idxs", "sites",
+                 "task_keys")
 
-    def __init__(self, task: TaskBlock):
+    def __init__(self, task: TaskBlock, observer=None):
         nodes = task.dataflow.nodes
         order = {id(n): i for i, n in enumerate(nodes)}
         self.conns = []
@@ -119,6 +132,14 @@ class _TaskStatic:
                           if n.kind in ("call", "spawn")]
         self.loopctl_idxs = [i for i, n in enumerate(nodes)
                              if n.kind == "loopctl"]
+        # Stall-attribution sites, in classification order: each
+        # load/store, then each call/spawn, with its keys per cause.
+        self.sites = []
+        self.task_keys = None
+        if observer is not None and observer.enabled:
+            self.sites = [observer.site(task.name, i, nodes[i])
+                          for i in self.mem_idxs + self.call_idxs]
+            self.task_keys = observer.keys_for(task.name)
 
 
 class DataflowInstance:
@@ -143,6 +164,9 @@ class DataflowInstance:
         self.loop_conditional = False
         self.liveouts: Dict[int, object] = {}
         self.block: Optional["TaskBlockSim"] = None
+        #: In its block's ``active`` list, holding a tile (event
+        #: kernel): only then do its wakes give the block work.
+        self.on_tile = False
         #: Not-yet-dispatched timing-wheel entries aimed here
         #: (maintained by TimingWheel/EventScheduler); the block pool
         #: refuses to recycle while a stale timer could still fire.
@@ -152,7 +176,7 @@ class DataflowInstance:
 
         sched = runtime.sched
         self.sched = sched
-        static = runtime.task_static(task)
+        self.static = static = runtime.statics[task.name]
         channels: Dict[int, object] = {}
         self.channels = channels
         faults = runtime.faults
@@ -185,6 +209,7 @@ class DataflowInstance:
         self._mem_sims = [sims[i] for i in static.mem_idxs]
         self._call_sims = [sims[i] for i in static.call_idxs]
         self._loopctl_idxs = static.loopctl_idxs
+        self._n_live = len(task.live_out_types)
 
         # -- event-kernel wake state --------------------------------------
         # Node sets are int bitmasks (bit i = node i), so a sweep pops
@@ -198,11 +223,11 @@ class DataflowInstance:
         self._dirty: List[EventChannel] = []
         self._sweeping = False
         self._cursor = -1
-        self.checked_cycle = -1
         self.last_processed = -1
         self._eqb_count = 0               # sims stuck on try_enqueue
         self._check_at = -1               # pending park-check cycle
         self._sleep_attr = None           # stall causes of current sleep
+        self.attr_sites = None            # bound by Observability
 
         # -- compiled kernel ----------------------------------------------
         # Bind the task's compiled step closures to this instance's
@@ -312,7 +337,7 @@ class DataflowInstance:
         self.loop_trips = None
         self.loop_finished = self.task.kind != "loop"
         self.liveouts.clear()
-        static = self.runtime.task_static(self.task)
+        static = self.static
         channels = self.channels
         for ch in channels.values():
             ch.clear()
@@ -330,7 +355,6 @@ class DataflowInstance:
         self._dirty = []
         self._sweeping = False
         self._cursor = -1
-        self.checked_cycle = -1
         self.last_processed = -1
         self._eqb_count = 0
         self._check_at = -1
@@ -359,6 +383,8 @@ class DataflowInstance:
             self._next_from = now
         else:
             self._next |= mask
+        if self.on_tile:
+            self.runtime._bnext |= self.block.bit
 
     def wake_node(self, idx: int) -> None:
         """Deliver a wake to one node under the visibility rule."""
@@ -369,20 +395,28 @@ class DataflowInstance:
                 self._ready |= 1 << idx
             else:
                 self._wake_next(1 << idx)
-        elif self.block.sweep_cycle == self.sched.now or \
-                self.checked_cycle == self.sched.now:
+        elif self.block.index < self.runtime.swept:
             self._wake_next(1 << idx)
         else:
             self._ready |= 1 << idx
+            if self.on_tile:
+                self.runtime._bready |= self.block.bit
 
     def wake_full(self) -> None:
-        """Wake every node (child delivered, unpark, ...)."""
+        """Wake every node (a child delivered).  A parked instance also
+        gives its block unpark work."""
         if self.sched is None:
             return
-        if self.block.sweep_cycle == self.sched.now:
+        block = self.block
+        if block.index < self.runtime.swept:
             self._wake_next(self._all)
         else:
             self._ready = self._all
+            if self.on_tile:
+                self.runtime._bready |= block.bit
+        if not self.on_tile:
+            block.has_response = True
+            block.wake()
 
     def schedule_node(self, idx: int, cycle: int) -> None:
         """Timer: wake ``idx`` at the top of ``cycle``."""
@@ -398,6 +432,8 @@ class DataflowInstance:
             self.force_check = True
         else:
             self._ready |= 1 << idx
+        if self.on_tile:
+            self.runtime._bready |= self.block.bit
 
     def on_sink_progress(self) -> None:
         """An iteration sink advanced: loop control's window may open."""
@@ -445,13 +481,11 @@ class DataflowInstance:
             # Asleep cycles are provably activity-free: account them
             # in one step and charge the recorded stall causes.
             self.idle_cycles += gap
-            obs = self.runtime.observer
-            if obs is not None and obs.enabled and self._sleep_attr:
-                obs.charge(self._sleep_attr, gap,
-                           self.last_processed + 1)
+            if self._sleep_attr:
+                self.runtime.observer.charge(self._sleep_attr, gap,
+                                             self.last_processed + 1)
         self._sleep_attr = None
         self.last_processed = now
-        self.checked_cycle = now
         self._act = 0
         self.force_check = False
         sims = self.node_sims
@@ -526,13 +560,11 @@ class DataflowInstance:
         gap = now - self.last_processed - 1
         if gap > 0:
             self.idle_cycles += gap
-            obs = self.runtime.observer
-            if obs is not None and obs.enabled and self._sleep_attr:
-                obs.charge(self._sleep_attr, gap,
-                           self.last_processed + 1)
+            if self._sleep_attr:
+                self.runtime.observer.charge(self._sleep_attr, gap,
+                                             self.last_processed + 1)
         self._sleep_attr = None
         self.last_processed = now
-        self.checked_cycle = now
         self._act = 0
         self.force_check = False
         steps = self._steps
@@ -603,18 +635,14 @@ class DataflowInstance:
         else:
             self.idle_cycles += 1
 
-    def maybe_sleep(self, now: int) -> None:
-        """Bookkeeping before the instance goes quiet.
+    def sleep(self, now: int) -> None:
+        """Bookkeeping as the instance goes quiet (no wake queued).
 
         If dense would park it while we are asleep (idle streak hits
         the threshold with children outstanding and memory idle),
         schedule a check wake for exactly that cycle; and snapshot the
         stall causes so the slept cycles can be attributed on wakeup.
         """
-        if self._ready or self._next or self._carry:
-            # A wake is already queued: we process again next cycle,
-            # so there is no sleep episode to arm or attribute.
-            return
         if (self.enqueue_blocked or self.calls_outstanding > 0
                 or self.pending_children > 0) and \
                 self.idle_cycles <= PARK_IDLE_THRESHOLD and \
@@ -623,7 +651,7 @@ class DataflowInstance:
             self._check_at = target
             self.sched.wheel.schedule(target, self, WAKE_CHECK)
         obs = self.runtime.observer
-        if obs is not None and obs.enabled:
+        if obs.enabled:
             self._sleep_attr = obs.classify_instance(self)
 
     # -- execution (dense kernel) -----------------------------------------
@@ -682,9 +710,14 @@ class DataflowInstance:
 class TaskBlockSim:
     """Queue + tiles for one task block."""
 
-    def __init__(self, task: TaskBlock, runtime: "SimRuntime"):
+    def __init__(self, task: TaskBlock, runtime: "SimRuntime",
+                 index: int):
         self.task = task
         self.runtime = runtime
+        #: Position in block order, and this block's bit in the
+        #: runtime's work masks (event kernel).
+        self.index = index
+        self.bit = 1 << index
         self.ready: deque = deque()
         self.edge_pending: Dict[tuple, int] = {}
         self.active: List[DataflowInstance] = []
@@ -692,9 +725,14 @@ class TaskBlockSim:
         window = (runtime.params.loop_invocation_window
                   if task.kind == "loop" else 1)
         self.capacity = max(1, task.num_tiles) * max(1, window)
-        #: Cycle whose instance sweep has started (visibility marker
-        #: for the event kernel's wake routing).
-        self.sweep_cycle = -1
+        #: Event kernel: a parked instance may hold a child response
+        #: (the unpark phase has work), and the earliest cycle a
+        #: parked enqueue-blocked instance is due for a retry.
+        self.has_response = False
+        self.retry_at = NEVER
+        #: Retry timers of this block not yet dispatched (the timing
+        #: wheel counts its entries per target).
+        self._wheel_refs = 0
         #: Instance free list (compiled kernel): completed
         #: instances are recycled instead of reconstructed — instance
         #: construction dominates spawn-heavy workloads.  None keeps
@@ -709,6 +747,27 @@ class TaskBlockSim:
         key = invocation.edge_key
         self.edge_pending[key] = self.edge_pending.get(key, 0) + 1
         self.ready.append(invocation)
+        if self.runtime.sched is not None:
+            self.wake()
+
+    # -- event-kernel work set ----------------------------------------------
+    def wake(self) -> None:
+        """Give this block work (an enqueue, a parked instance's child
+        response) under the visibility rule: this cycle if its slot is
+        still ahead, else the next.  Without a free tile neither can
+        act; the visit that frees one looks again (end of tick_event).
+        """
+        if len(self.active) < self.capacity:
+            runtime = self.runtime
+            if self.index < runtime.swept:
+                runtime._bnext |= self.bit
+            else:
+                runtime._bready |= self.bit
+
+    def timer_wake(self, idx: int) -> None:
+        """Wheel dispatch of a parked instance's retry time."""
+        if len(self.active) < self.capacity:
+            self.runtime._bready |= self.bit
 
     # -- dense kernel ------------------------------------------------------
     def tick(self, now: int) -> bool:
@@ -787,6 +846,7 @@ class TaskBlockSim:
         inst._ready = inst._all
         inst.last_processed = now - 1
         inst._sleep_attr = None
+        inst.on_tile = True
         self.active.append(inst)
         obs = self.runtime.observer
         if obs is not None and obs.enabled and inst.park_cycle >= 0:
@@ -794,44 +854,53 @@ class TaskBlockSim:
                             inst.park_cycle)
 
     def tick_event(self, now: int) -> bool:
-        """Event-kernel cycle: same phases as :meth:`tick`, but only
+        """Event-kernel cycle of a block with work: same phases as
+        :meth:`tick`, but the parked list is scanned only when one of
+        its instances has a child response or a due retry, and only
         instances with a pending wake are swept."""
-        if not (self.ready or self.active or self.parked):
-            return False
+        runtime = self.runtime
+        active = self.active
+        capacity = self.capacity
         active_cycle = False
-        if self.parked:
+        if self.has_response and len(active) < capacity:
             still_parked = []
+            waiting = False
             for inst in self.parked:
-                if inst.response_arrived and \
-                        len(self.active) < self.capacity:
-                    inst.response_arrived = False
-                    self._unpark(inst, now)
-                    active_cycle = True
-                else:
-                    still_parked.append(inst)
+                if inst.response_arrived:
+                    if len(active) < capacity:
+                        inst.response_arrived = False
+                        self._unpark(inst, now)
+                        active_cycle = True
+                        continue
+                    waiting = True
+                still_parked.append(inst)
             self.parked = still_parked
-        while self.ready and len(self.active) < self.capacity and \
-                self.ready[0].not_before <= now:
-            inv = self.ready.popleft()
+            self.has_response = waiting
+        ready = self.ready
+        while ready and len(active) < capacity and \
+                ready[0].not_before <= now:
+            inv = ready.popleft()
             self.edge_pending[inv.edge_key] -= 1
-            self.runtime.credit_edge(inv.edge_key)
+            runtime.credit_edge(inv.edge_key)
             pool = self.pool
             if pool:
                 inst = pool.pop()
                 inst.recycle(inv)
             else:
-                inst = DataflowInstance(self.task, self.runtime, inv)
+                inst = DataflowInstance(self.task, runtime, inv)
                 inst.block = self
             inst.last_processed = now - 1
-            self.active.append(inst)
-            self.runtime.stats.invocations[self.task.name] += 1
+            inst.on_tile = True
+            active.append(inst)
+            runtime.stats.invocations[self.task.name] += 1
             active_cycle = True
-        if not self.ready and self.parked:
+        if not ready and self.retry_at <= now and len(active) < capacity:
             still_parked = []
+            retry_at = NEVER
             for inst in self.parked:
                 retry = inst.enqueue_blocked and \
                     now - inst.park_cycle >= PARK_RETRY_CYCLES
-                if retry and len(self.active) < self.capacity:
+                if retry and len(active) < capacity:
                     inst.response_arrived = False
                     self._unpark(inst, now)
                     # Not an active cycle (see the dense kernel's
@@ -839,14 +908,17 @@ class TaskBlockSim:
                     # the instance's own sweep below.
                 else:
                     still_parked.append(inst)
+                    if inst.enqueue_blocked and retry_at == NEVER:
+                        retry_at = inst.park_cycle + PARK_RETRY_CYCLES
             self.parked = still_parked
-        self.sweep_cycle = now
+            self.retry_at = retry_at
+        runtime.swept = self.index + 1
         finished: List[DataflowInstance] = []
         parked: List[DataflowInstance] = []
-        for inst in self.active:
+        for inst in active:
             # Promote wakes queued in an earlier cycle — this is the
-            # hottest guard in the kernel (every active instance,
-            # every cycle).
+            # hottest guard in the kernel (every active instance of a
+            # visited block).
             if inst._next and inst._next_from < now:
                 inst._ready |= inst._next
                 inst._next = 0
@@ -855,29 +927,49 @@ class TaskBlockSim:
             inst.process(now)
             if inst._act:
                 active_cycle = True
-            if inst.is_complete():
+            # Tail: complete, park, or stay on the tile (is_complete's
+            # and parkable's cheap guards first: most sweeps fail them).
+            if inst.loop_finished and not inst.pending_children and \
+                    len(inst.liveouts) >= inst._n_live and \
+                    inst.is_complete():
                 finished.append(inst)
-            elif inst.parkable():
+            elif inst.idle_cycles > PARK_IDLE_THRESHOLD and \
+                    inst.parkable():
                 parked.append(inst)
+            elif inst._ready or inst._next or inst._carry:
+                runtime._bnext |= self.bit      # sweeps again next cycle
             else:
-                inst.maybe_sleep(now)
+                inst.sleep(now)
         for inst in finished:
-            self.active.remove(inst)
-            self.runtime.deliver(inst)
+            active.remove(inst)
+            inst.on_tile = False
+            runtime.deliver(inst)
             active_cycle = True
             pool = self.pool
-            if pool is not None and len(pool) < self.capacity and \
+            if pool is not None and len(pool) < capacity and \
                     inst._wheel_refs == 0 and inst._eq_regs == 0:
                 pool.append(inst)
         for inst in parked:
-            if inst in self.active:
-                self.active.remove(inst)
+            if inst in active:
+                active.remove(inst)
+                inst.on_tile = False
                 inst.park_cycle = now
                 self.parked.append(inst)
-                self.runtime.stats.parked += 1
-                obs = self.runtime.observer
+                if inst.response_arrived:
+                    self.has_response = True
+                if inst.enqueue_blocked:
+                    retry = now + PARK_RETRY_CYCLES
+                    self.retry_at = min(self.retry_at, retry)
+                    runtime.sched.wheel.schedule(retry, self, 0)
+                runtime.stats.parked += 1
+                obs = runtime.observer
                 if obs is not None and obs.tracing:
                     obs.emit("park", inst.task.name, now)
+        # A tile freed (or still free): start or unpark next cycle.
+        if len(active) < capacity and (
+                ready or self.has_response or
+                (self.parked and self.retry_at <= now + 1)):
+            runtime._bnext |= self.bit
         return active_cycle
 
     def busy(self) -> bool:
@@ -918,9 +1010,17 @@ class SimRuntime:
         self.pooling = (compiled is not None and sched is not None
                         and faults is None and batch is None)
         self.blocks: Dict[str, TaskBlockSim] = {
-            name: TaskBlockSim(task, self)
-            for name, task in circuit.tasks.items()}
+            name: TaskBlockSim(task, self, i)
+            for i, (name, task) in enumerate(circuit.tasks.items())}
         self.block_list = list(self.blocks.values())
+        #: Event kernel's block work sets (bit i = ``block_list[i]``):
+        #: this cycle's and the next's.
+        self._bready = 0
+        self._bnext = 0
+        #: Blocks below this index have had their slot this cycle
+        #: (visited or skipped); the visibility rule routes wakes to
+        #: them into the next cycle.
+        self.swept = 0
         self.edge_depth: Dict[tuple, int] = {}
         for edge in circuit.task_edges:
             depth = edge.queue_depth if not edge.decoupled else \
@@ -928,15 +1028,13 @@ class SimRuntime:
             self.edge_depth[(edge.parent, edge.child)] = depth
         #: Event kernel: call/spawn sims blocked per task edge.
         self.edge_waiters: Dict[tuple, List] = {}
-        self._static: Dict[str, _TaskStatic] = {}
+        #: Per-task static wiring and attribution sites of this run;
+        #: every label is built here, before the first cycle.
+        self.statics: Dict[str, _TaskStatic] = {
+            name: _TaskStatic(task, observer)
+            for name, task in circuit.tasks.items()}
         self.root_done = False
         self.root_results: Optional[List] = None
-
-    def task_static(self, task: TaskBlock) -> _TaskStatic:
-        static = self._static.get(task.name)
-        if static is None:
-            static = self._static[task.name] = _TaskStatic(task)
-        return static
 
     def try_enqueue(self, parent_name: str, callee: str, args,
                     reply, parent) -> bool:
@@ -1009,8 +1107,18 @@ class SimRuntime:
         return active
 
     def tick_event(self, now: int) -> bool:
+        """Visit the blocks with work, lowest index first; a visit may
+        give work to a later block, so the mask is re-read each time."""
         self.now = now
+        blocks = self.block_list
+        ready = self._bready = self._bready | self._bnext
+        self._bnext = 0
         active = False
-        for block in self.block_list:
-            active |= block.tick_event(now)
+        while ready:
+            low = ready & -ready
+            self.swept = low.bit_length() - 1
+            if blocks[self.swept].tick_event(now):
+                active = True
+            ready = self._bready = self._bready ^ low
+        self.swept = len(blocks)
         return active

@@ -4,8 +4,6 @@ Tensorflow front-end would emit them."""
 
 from __future__ import annotations
 
-import math
-
 from .base import Workload, register, seeded_floats
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,13 @@ def stats_digests(name: str, config: str, kernel: str) -> dict:
             "trace": _digest([ring, result.observer.dropped])}
 
 
+def _document(name: str, config: str, kernel: str, observe: str) -> str:
+    """The stats document of one run as ``json.dumps`` writes it,
+    unsorted, so key order counts."""
+    result, _ = _run_config(name, config, kernel=kernel, observe=observe)
+    return json.dumps(result.stats.to_json())
+
+
 class TestEventKernelEquivalence:
     @pytest.mark.parametrize("kernel", ["event", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
@@ -129,6 +136,26 @@ class TestEventKernelEquivalence:
                                                 kernel):
         key = f"{name}/{config}"
         assert stats_digests(name, config, kernel) == DIGESTS[key]
+
+    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    @pytest.mark.parametrize("config", ["baseline", "allopts"])
+    @pytest.mark.parametrize("name", FAST_MATRIX)
+    def test_counters_document_equals_traced(self, name, config, kernel):
+        # The default observe="counters" document is byte-identical to
+        # the traced one, whose digest is pinned above: key order too,
+        # which orders ties in top_stalled_nodes and repro report.
+        assert _document(name, config, kernel, "counters") == \
+            _document(name, config, kernel, "trace")
+
+    @pytest.mark.slow
+    @full_matrix
+    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    @pytest.mark.parametrize("config", ["baseline", "allopts"])
+    @pytest.mark.parametrize("name", SLOW_MATRIX)
+    def test_counters_document_equals_traced_slow(self, name, config,
+                                                  kernel):
+        assert _document(name, config, kernel, "counters") == \
+            _document(name, config, kernel, "trace")
 
     @pytest.mark.parametrize("name", ["saxpy", "fib"])
     def test_compiled_stats_identical_to_event(self, name):

@@ -1,0 +1,199 @@
+"""Exact scheduler work on the eval-sim kernels, and the stall
+attribution a failed run ships.
+
+The counts are simulator events — block visits, instance sweeps,
+classified sleep episodes — not Python calls, so they are the same on
+every Python version.  A change that makes the scheduler visit more
+blocks or sweep more instances per simulated cycle moves them.
+"""
+
+import json
+from collections import Counter
+
+import pytest
+
+from repro.bench.configs import all_opts_for
+from repro.core import SourceLoc
+from repro.errors import SimulationTimeout
+from repro.frontend import compile_minic, translate_module
+from repro.frontend.interp import Memory
+from repro.opt.pass_manager import PassManager
+from repro.sim import SimParams, simulate
+from repro.sim.observe import Observability
+from repro.sim.task import DataflowInstance, SimRuntime, TaskBlockSim
+from repro.workloads import WORKLOADS
+
+#: Per eval-sim kernel (all-opts, compiled kernel): simulated cycles,
+#: block visits, instance sweeps and classified sleep episodes.  Only
+#: blocks with work are visited: 7,855 visits over 7,495 cycles, where
+#: visiting every block every cycle took 25,242.
+WORK = {
+    "gemm": (1934, 2825, 4855, 529),
+    "fft": (1658, 1704, 1703, 40),
+    "saxpy": (3080, 2319, 5341, 1460),
+    "stencil": (261, 328, 1221, 97),
+    "img_scale": (562, 679, 3916, 173),
+}
+
+
+def _allopts(name):
+    w = WORKLOADS[name]
+    circuit = translate_module(w.module(), name=f"{name}_allopts")
+    PassManager(all_opts_for(name)).run(circuit)
+    return w, circuit
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of scheduler events, and of ``SourceLoc.label`` calls
+    in total and as of the end of the last runtime's setup."""
+    counts = Counter()
+
+    def count(cls, name, key, after=None):
+        original = getattr(cls, name)
+
+        def counting(*args, **kwargs):
+            counts[key] += 1
+            result = original(*args, **kwargs)
+            if after is not None:
+                after()
+            return result
+
+        monkeypatch.setattr(cls, name, counting)
+
+    count(TaskBlockSim, "tick_event", "visits")
+    # A compiled instance binds ``process_compiled`` as its
+    # ``process``; an interpreted one keeps ``process``.
+    count(DataflowInstance, "process", "sweeps")
+    count(DataflowInstance, "process_compiled", "sweeps")
+    count(Observability, "classify_instance", "classified")
+    count(SourceLoc, "label", "labels")
+
+    def setup_done():
+        counts["labels_at_setup"] = counts["labels"]
+
+    count(SimRuntime, "__init__", "runtimes", after=setup_done)
+    return counts
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("name", sorted(WORK))
+    def test_eval_sim_kernel_work(self, name, work):
+        w, circuit = _allopts(name)
+        result = simulate(circuit, w.fresh_memory(), list(w.args_for()),
+                          SimParams(kernel="compiled"))
+        cycles, visits, sweeps, classified = WORK[name]
+        assert result.cycles == cycles
+        assert (work["visits"], work["sweeps"], work["classified"]) == \
+            (visits, sweeps, classified)
+        assert work["runtimes"] == 1
+
+    @pytest.mark.parametrize("name", ["gemm", "saxpy"])
+    def test_labels_are_built_before_the_first_cycle(self, name, work):
+        w, circuit = _allopts(name)
+        simulate(circuit, w.fresh_memory(), list(w.args_for()),
+                 SimParams(kernel="compiled"))
+        assert work["labels_at_setup"] > 0
+        assert work["labels"] == work["labels_at_setup"]
+
+
+#: Stall sections of the ``SimulationTimeout`` each all-opts run
+#: raises at ``max_cycles=600``, key order included (recorded when
+#: every sleep episode still charged its labels into the document).
+TIMEOUT_STALLS = {
+    "gemm": {
+        "stall_cycles": {"child_wait": 13, "task_queue_full": 4103,
+                         "upstream_empty": 831, "dram_inflight": 7},
+        "node_stalls": {
+            "main.call_main_loop_i_header_1": {"child_wait": 7},
+            "main_loop_i_header.call_main_loop_j_header_3":
+                {"task_queue_full": 7, "child_wait": 6},
+            "main_loop_j_header.store_8":
+                {"upstream_empty": 757, "dram_inflight": 7},
+            "main_loop_j_header.call_main_loop_k_header_3":
+                {"task_queue_full": 764},
+            "main_loop_i_header": {"task_queue_full": 16},
+            "main_loop_k_header.load7_8": {"upstream_empty": 37},
+            "main_loop_k_header.load11_13": {"upstream_empty": 37},
+            "main_loop_j_header": {"task_queue_full": 3316},
+        },
+        "source_stalls": {
+            "gemm.mc:7 (main)": {"child_wait": 7},
+            "gemm.mc:8 (main_loop_i_header)":
+                {"task_queue_full": 7, "child_wait": 6},
+            "gemm.mc:13 (main_loop_j_header)":
+                {"upstream_empty": 757, "dram_inflight": 7},
+            "gemm.mc:10 (main_loop_j_header)": {"task_queue_full": 764},
+            "gemm.mc:11 (main_loop_k_header)": {"upstream_empty": 74},
+        },
+    },
+    "saxpy": {
+        "stall_cycles": {"child_wait": 7, "dram_inflight": 2556,
+                         "upstream_empty": 1890, "task_queue_full": 303},
+        "node_stalls": {
+            "main.call_main_loop_i_header_1": {"child_wait": 7},
+            "main_task0.load3_3":
+                {"dram_inflight": 1170, "upstream_empty": 312},
+            "main_task0.load6_7":
+                {"dram_inflight": 1170, "upstream_empty": 312},
+            "main_task0.store_10":
+                {"upstream_empty": 1266, "dram_inflight": 216},
+            "main_loop_i_header.spawn_main_task0_3":
+                {"task_queue_full": 154},
+            "main_loop_i_header": {"task_queue_full": 149},
+        },
+        "source_stalls": {
+            "saxpy.mc:6 (main)": {"child_wait": 7},
+            "saxpy.mc:7 (main_task0)":
+                {"dram_inflight": 2556, "upstream_empty": 1890},
+            "saxpy.mc:6 (main_loop_i_header)": {"task_queue_full": 154},
+        },
+    },
+}
+
+
+class TestFailedRunAttribution:
+    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    @pytest.mark.parametrize("name", sorted(TIMEOUT_STALLS))
+    def test_timeout_ships_its_stall_sections(self, name, kernel):
+        w, circuit = _allopts(name)
+        with pytest.raises(SimulationTimeout) as info:
+            simulate(circuit, w.fresh_memory(), list(w.args_for()),
+                     SimParams(kernel=kernel, max_cycles=600))
+        doc = info.value.stats.to_json()
+        assert doc["cycles"] == 600
+        sections = {key: doc[key] for key in TIMEOUT_STALLS[name]}
+        assert json.dumps(sections) == json.dumps(TIMEOUT_STALLS[name])
+
+
+#: ``main``'s loop calls ``c`` faster than ``c`` drains, so the caller
+#: parks blocked on a full queue.  Each ``c`` parks on its looping call
+#: to ``d``, which frees its tile: ``c``'s block starts the next queued
+#: call and credits the parked caller before any response arrives.
+#: Only the caller's retry time unparks it then, and nothing else
+#: gives its block work at that cycle.
+RETRY_SRC = """
+array a: i32[64];
+func d(v: i32) -> i32 {
+  var s: i32 = 0;
+  for (k = 0; k < %d; k = k + 1) { s = s + a[(v + k) & 63]; }
+  return s;
+}
+func c(v: i32) -> i32 { return d(v) + 1; }
+func main(n: i32) {
+  for (i = 0; i < n; i = i + 1) { a[i] = c(i); }
+}
+"""
+
+
+class TestParkedRetry:
+    @pytest.mark.parametrize("trips,cycles,parked",
+                             [(12, 1091, 110), (40, 2812, 232)])
+    def test_retry_time_matches_dense(self, trips, cycles, parked):
+        module = compile_minic(RETRY_SRC % trips)
+        circuit = translate_module(module)
+        for kernel in ("dense", "event", "compiled"):
+            result = simulate(circuit, Memory(module), [24],
+                              SimParams(kernel=kernel))
+            assert (result.cycles, result.stats.parked) == \
+                (cycles, parked), kernel

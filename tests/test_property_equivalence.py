@@ -204,3 +204,86 @@ class TestCompiledKernelEquivalence:
                                    plan)
         assert co == ev, source
         assert co_words == ev_words, source
+
+
+# ---------------------------------------------------------------------------
+# The dense sweep as an independent oracle for the wake paths
+# ---------------------------------------------------------------------------
+
+@st.composite
+def task_programs(draw):
+    """:func:`programs` with task structure: the loop may become a
+    ``parallel_for`` (one spawned task per iteration) and may call a
+    helper function (a call task), which may in turn call a looping
+    one, so several task blocks queue, start, park and wake one
+    another."""
+    trip = draw(st.integers(1, 12))
+    body = draw(loop_bodies(["i", "n"]))
+    helper = ""
+    if draw(st.booleans()):
+        result = draw(expressions(["v"]))
+        if draw(st.booleans()):
+            helper = (f"func g(v: i32) -> i32 {{\n"
+                      f"  var s: i32 = 0;\n"
+                      f"  for (k = 0; k < {draw(st.integers(0, 24))}; "
+                      f"k = k + 1) {{ s = s + inp[(v + k) & 15]; }}\n"
+                      f"  return s;\n}}\n")
+            result = f"g(v) + ({result})"
+        helper += (f"func h(v: i32) -> i32 {{\n"
+                   f"  return {result};\n}}")
+        body += (f"\n    out[i * 4 + 3] = "
+                 f"h({draw(expressions(['i', 'n']))});")
+    loop = draw(st.sampled_from(["for", "parallel_for"]))
+    source = f"""
+array inp: i32[16];
+array out: i32[64];
+{helper}
+func main(n: i32) {{
+  {loop} (i = 0; i < n; i = i + 1) {{
+    {body}
+  }}
+}}
+"""
+    return source, trip
+
+
+class TestDenseOracle:
+    """kernel="compiled" must match the dense sweep on random task
+    programs: cycles, results and memory (dense attributes no stalls,
+    so the stats documents are not compared).
+
+    The event and compiled kernels share one scheduler — the blocks
+    with work, wake routing, parking — so their differential cannot
+    see a wake that both miss.  The dense kernel has no wakes: every
+    cycle it visits every block and sweeps every node of every active
+    instance.  Baseline and fully optimized circuits, fault-free and
+    under generated fault plans.
+    """
+
+    def _check(self, prog, optimized, plan):
+        source, trip = prog
+        module = compile_minic(source)
+        circuit = translate_module(module)
+        if optimized:
+            PassManager([CacheBanking(2), MemoryLocalization(),
+                         ScratchpadBanking(4), OpFusion(),
+                         TaskPipelining(), ParameterTuning()]).run(circuit)
+        de, de_words = _run_kernel(module, circuit, trip, "dense", plan)
+        co, co_words = _run_kernel(module, circuit, trip, "compiled",
+                                   plan)
+        # Outcome, cycles and results; not the stats document.
+        assert co[:3] == de[:3], source
+        assert co_words == de_words, source
+
+    @_SLOW
+    @given(task_programs(), st.booleans())
+    def test_compiled_matches_dense(self, prog, optimized):
+        self._check(prog, optimized, None)
+
+    @_SLOW
+    @given(task_programs(), st.booleans(), st.integers(0, 2 ** 16),
+           st.sampled_from([0.5, 1.0, 2.0]))
+    def test_compiled_matches_dense_under_faults(self, prog, optimized,
+                                                 seed, intensity):
+        self._check(prog, optimized,
+                    FaultPlan.generate(seed, intensity=intensity))
