@@ -1,14 +1,14 @@
 """Compiled simulation kernel: circuit -> dispatch-free step closures.
 
-The event kernel (PR 1) fixed *which* components tick each cycle; this
+The event kernel fixed *which* components tick each cycle; this
 module fixes *how much one tick costs*.  ``kernel="compiled"`` keeps
-the event kernel's scheduler, wake plumbing, and channel commit
-machinery unchanged (that is the correctness-critical part) and
-replaces only the per-node dispatch: instead of a polymorphic
-``sim.tick(now)`` — two attribute loads, a method-wrapper call, and a
-body full of ``self.x.y`` chains — every node instance gets a
-**specialized step closure** generated once at instance start, with
-everything the body touches bound as closure locals:
+the event kernel's scheduler, wake plumbing, instance sweep and
+channel commit unchanged (that is the correctness-critical part) and
+replaces only the per-node step: instead of ``NodeSim.step`` around a
+polymorphic ``sim.tick(now)`` — two method calls and a body full of
+``self.x.y`` chains — every node instance gets a **specialized step
+closure** bound once when the instance is built, with everything the
+body touches bound as closure locals:
 
 * channel endpoints (*ready tokens*: the channel's ``queue`` deque for
   FIFO edges, truthy exactly when a token is visible; the latched
@@ -23,15 +23,17 @@ everything the body touches bound as closure locals:
   (:func:`repro.core.semantics.specialize_compute`) that skips the op
   string-compare chain and the per-fire type dispatch.
 
-Each closure replicates the matching ``NodeSim.tick`` *exactly* —
+Each closure replicates the matching ``NodeSim.step`` *exactly* —
 guard order, ``instance._act`` increments, wake/self-schedule calls,
 stats counters — so the compiled kernel is bit-identical to the event
 kernel by the same superset-sweep argument (tick is a strict no-op
-when its guards fail).  State that outside observers read (stall
-classification, deadlock diagnostics, completion gating) stays on the
-sim object: ``records``, ``sink_count``, ``started``/``finished``/
-``issued``, ``_eq_blocked``; only node-private scalars (a compute
-unit's ``next_fire``, a source's pending list) move into the closure.
+when its guards fail).  All per-invocation state stays on the sim
+object, where outside observers (stall classification, deadlock
+diagnostics, completion gating) and ``reset`` reach it: ``records``,
+``sink_count``, ``started``/``finished``/``issued``, a compute unit's
+``next_fire``, a source's owed channels and value.  A closure
+captures only what is fixed for the instance's life or what
+``reset`` clears in place, so a recycled instance keeps its steps.
 
 Compilation is two-phase:
 
@@ -44,10 +46,10 @@ Compilation is two-phase:
   fingerprint, on the eval-sim circuits, Python 3.11.7 on a 2-vCPU
   host), and uopt passes rewrite circuits in place, so a plan kept
   for a circuit object goes stale once a pass edits it.
-* **bind** (:meth:`CompiledTask.bind`) — per instance, close each
-  binder over that instance's freshly constructed channels, forks and
-  fault-adjusted latencies.  Spawn-heavy workloads create thousands
-  of instances, so binders only do O(ports) work.
+* **bind** (:meth:`CompiledTask.bind`) — once per instance, when it
+  is built, close each binder over that instance's channels, forks
+  and fault-adjusted latencies.  Binders only do O(ports) work, and a
+  pooled instance recycled for a new invocation keeps its closures.
 
 Every node kind the simulator knows (:data:`repro.sim.nodesim.
 SIM_CLASSES`) has a step compiler, so every circuit compiles.
@@ -108,10 +110,9 @@ def _fork_accept(fork):
 def _rearm_locals(sim):
     """(idx, bit) for a binder's self-rearm tail.
 
-    The event kernel's sweep does, around every tick: set the sweep
-    cursor, snapshot ``_act``, and — if the node acted and is not a
-    precise-wake kind — wake the node again for next cycle.  The
-    compiled sweep is a bare ``step(now)`` call per node, so every
+    ``NodeSim.step`` does, around every tick: set the sweep cursor,
+    snapshot ``_act``, and — if the node acted and is not a
+    precise-wake kind — wake the node again for next cycle.  Every
     binder folds that bookkeeping into the step body itself: cursor
     first, then on any path that acted (``_act`` changed),
 
@@ -128,23 +129,24 @@ def _rearm_locals(sim):
 
 # ---------------------------------------------------------------------------
 # Per-kind binders.  Each ``_bind_<kind>(sim, inst, data)`` returns a
-# ``step(now)`` closure replicating ``<Kind>Sim.tick`` with the sweep
-# loop's fork pre-drain folded in as the prologue.
+# ``step(now)`` closure replicating ``NodeSim.step`` over
+# ``<Kind>Sim.tick``, fork pre-drain included.
 # ---------------------------------------------------------------------------
 
 def _bind_source(sim, inst, data):
-    """const / livein: one token per (non-latched) consumer edge."""
-    value = sim.node.value if sim.node.kind == "const" else sim.value
-    pending = [inst.channels[id(c)] for c in sim._pending]
-    if not pending:
+    """const / livein: one token per (non-latched) consumer edge.  The
+    owed channels and the value are per invocation: read from the sim,
+    which ``reset`` re-arms."""
+    if not sim._pending:
         return _nop
     idx, bit = _rearm_locals(sim)
 
     def step(now):
-        nonlocal pending
         inst._cursor = idx
+        pending = sim._pending
         if not pending:
             return
+        value = sim.value
         remaining = []
         acted = False
         for ch in pending:
@@ -154,7 +156,7 @@ def _bind_source(sim, inst, data):
                 acted = True
             else:
                 remaining.append(ch)
-        pending = remaining
+        sim._pending = remaining
         if acted:
             inst._next |= bit
 
@@ -214,7 +216,6 @@ def _bind_compute(sim, inst, data):
     fires = inst.stats.node_fires
     popleft = pipe.popleft
     append = pipe.append
-    next_fire = 0
     if fork is not None and len(chans) == arity and arity <= 3:
         accept = _fork_accept(fork)
         drain = fork.drain
@@ -347,7 +348,6 @@ def _bind_compute(sim, inst, data):
                 return step
 
             def step(now):
-                nonlocal next_fire
                 inst._cursor = idx
                 if fork.pending:
                     drain(inst)
@@ -357,11 +357,11 @@ def _bind_compute(sim, inst, data):
                     accept(pipe[0][1], inst)
                     popleft()
                     inst._act += 1
-                if now < next_fire or len(pipe) >= capacity \
+                if now < sim.next_fire or len(pipe) >= capacity \
                         or not qa:
                     return
                 append((now + latency - 1, fpos(pa())))
-                next_fire = now + interval
+                next_fire = sim.next_fire = now + interval
                 if latency > 1:
                     sched(idx, now + latency - 1)
                 if interval > 1:
@@ -407,7 +407,6 @@ def _bind_compute(sim, inst, data):
                 return step
 
             def step(now):
-                nonlocal next_fire
                 inst._cursor = idx
                 if fork.pending:
                     drain(inst)
@@ -417,11 +416,11 @@ def _bind_compute(sim, inst, data):
                     accept(pipe[0][1], inst)
                     popleft()
                     inst._act += 1
-                if now < next_fire or len(pipe) >= capacity \
+                if now < sim.next_fire or len(pipe) >= capacity \
                         or not qa or not qb:
                     return
                 append((now + latency - 1, fpos(pa(), pb())))
-                next_fire = now + interval
+                next_fire = sim.next_fire = now + interval
                 if latency > 1:
                     sched(idx, now + latency - 1)
                 if interval > 1:
@@ -448,7 +447,6 @@ def _bind_compute(sim, inst, data):
         pc = cc.pop
 
         def step(now):
-            nonlocal next_fire
             inst._cursor = idx
             if fork.pending:
                 drain(inst)
@@ -458,11 +456,11 @@ def _bind_compute(sim, inst, data):
                 accept(pipe[0][1], inst)
                 popleft()
                 inst._act += 1
-            if now < next_fire or len(pipe) >= capacity \
+            if now < sim.next_fire or len(pipe) >= capacity \
                     or not qa or not qb or not qc:
                 return
             append((now + latency - 1, fpos(pa(), pb(), pc())))
-            next_fire = now + interval
+            next_fire = sim.next_fire = now + interval
             if latency > 1:
                 sched(idx, now + latency - 1)
             if interval > 1:
@@ -485,7 +483,6 @@ def _bind_compute(sim, inst, data):
     tokens, pops = _tokens_pops(chans)
 
     def step(now):
-        nonlocal next_fire
         inst._cursor = idx
         if fork is not None and fork.pending:
             fork.drain(inst)
@@ -496,14 +493,14 @@ def _bind_compute(sim, inst, data):
                 fork.accept(pipe[0][1], inst)
             popleft()
             inst._act += 1
-        if now < next_fire or len(pipe) >= capacity:
+        if now < sim.next_fire or len(pipe) >= capacity:
             return
         for tok in tokens:
             if not tok:
                 return
         vals = [pop() for pop in pops]
         append((now + latency - 1, flist(vals)))
-        next_fire = now + interval
+        next_fire = sim.next_fire = now + interval
         if latency > 1:
             sched(idx, now + latency - 1)
         if interval > 1:
@@ -1416,22 +1413,11 @@ _STEP_COMPILERS: Dict[str, Tuple[Callable, Optional[Callable]]] = {
 
 class CompiledTask:
     """Compile-time plan for one task block: a binder + data per node
-    position, shared by every instance of the task.
+    position, shared by every instance of the task."""
 
-    ``interpreted`` marks tasks where specialization cannot pay for
-    itself: a task with no loop controller runs straight through and
-    dies (a ``parallel_for`` body, a recursive leaf), so an instance
-    lives for a few sweeps only — binding per-node closures at start
-    costs more than the dispatch it saves.  Those instances keep the
-    event kernel's reference ``process`` (bit-identical by
-    definition); loop-carrying tasks, where instances sweep thousands
-    of times, get the compiled steps."""
-
-    __slots__ = ("plan", "interpreted")
+    __slots__ = ("plan",)
 
     def __init__(self, task):
-        self.interpreted = not any(
-            n.kind == "loopctl" for n in task.dataflow.nodes)
         plan = []
         for node in task.dataflow.nodes:
             binder, data_factory = _STEP_COMPILERS[node.kind]
@@ -1441,6 +1427,8 @@ class CompiledTask:
         self.plan = plan
 
     def bind(self, instance) -> List[Callable]:
+        """One step closure per node of ``instance``, bound when it is
+        built; a recycled instance keeps them."""
         sims = instance.node_sims
         steps = []
         append = steps.append

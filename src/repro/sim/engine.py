@@ -14,8 +14,10 @@ same memory image, same outputs):
   wake are touched each cycle (see :mod:`repro.sim.events` and the
   instance-level machinery in :mod:`repro.sim.task`), and the memory
   system is skipped entirely while idle.  Typically several times
-  faster than the dense sweep on memory-bound circuits.  The
-  interpreted reference for the compiled kernel.
+  faster than the dense sweep on memory-bound circuits.  The same
+  scheduler and instance sweep as the compiled kernel, stepping each
+  node's reference ``tick`` (``NodeSim.step``) where the compiled
+  kernel calls its closures.
 * ``kernel="dense"`` — the original reference loop that sweeps every
   node of every active instance every cycle.  Kept as the equivalence
   oracle and for debugging the event kernel itself.

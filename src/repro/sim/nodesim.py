@@ -162,12 +162,31 @@ class NodeSim:
     def busy(self) -> bool:
         return False
 
+    def step(self, now: int) -> None:
+        """The event kernel's sweep step: set the sweep cursor, drain
+        pending forks, ``tick``, and if the node acted and does not
+        issue its own wakes (``precise_wakes``), look at it again next
+        cycle, as the dense sweep would.  A compiled step closure folds
+        the same bookkeeping into its body."""
+        instance = self.instance
+        idx = instance._cursor = self.idx
+        a0 = instance._act
+        for fork in self._fork_list:
+            if fork.pending:
+                fork.drain(instance)
+        self.tick(now)
+        if instance._act != a0 and not self.precise_wakes:
+            instance._next |= 1 << idx
+
     def reset(self) -> None:
         """Return to the just-constructed state for instance recycling.
 
         Static wiring (channel lists, fork buffers, latencies) is
         invocation-invariant and survives; only dynamic state is
-        cleared.  Subclasses extend this for their own state fields.
+        cleared.  The instance keeps its compiled step closures, so a
+        container a closure captured (a pipe, a record deque, a phi's
+        emission history) is cleared in place, never replaced.
+        Subclasses extend this for their own state fields.
         The caller guarantees the instance is complete: no in-flight
         memory requests, timers or enqueue registrations point here.
         """
@@ -180,61 +199,48 @@ class NodeSim:
 class ConstSim(NodeSim):
     """Constant source.  In loop tasks its connections are latched (set
     at instance start); in func tasks it emits one token per consumer
-    per invocation."""
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, node, instance):
-        super().__init__(node, instance)
-        self._pending = [c for c in node.out.outgoing if not c.latched]
-
-    def tick(self, now: int) -> None:
-        if not self._pending:
-            return
-        remaining = []
-        for conn in self._pending:
-            ch = self._chan(conn)
-            if ch.can_push():
-                ch.push(self.node.value)
-                self.instance._act += 1
-            else:
-                remaining.append(conn)
-        self._pending = remaining
-
-    def reset(self) -> None:
-        super().reset()
-        self._pending = [c for c in self.node.out.outgoing
-                         if not c.latched]
-
-
-class LiveInSim(NodeSim):
-    """Invocation argument source (same emission rule as ConstSim)."""
+    per invocation.  ``value`` and ``_pending`` (the channels still
+    owed a token) are per-invocation state that :meth:`reset`
+    re-arms."""
 
     __slots__ = ("value", "_pending")
 
     def __init__(self, node, instance):
         super().__init__(node, instance)
-        self.value = instance.args[node.index]
-        self._pending = [c for c in node.out.outgoing if not c.latched]
+        self._arm()
 
-    def reset(self) -> None:
-        super().reset()
-        self.value = self.instance.args[self.node.index]
-        self._pending = [c for c in self.node.out.outgoing
+    def _arm(self) -> None:
+        self.value = self._source_value()
+        self._pending = [self._chan(c) for c in self.node.out.outgoing
                          if not c.latched]
+
+    def _source_value(self):
+        return self.node.value
 
     def tick(self, now: int) -> None:
         if not self._pending:
             return
         remaining = []
-        for conn in self._pending:
-            ch = self._chan(conn)
+        for ch in self._pending:
             if ch.can_push():
                 ch.push(self.value)
                 self.instance._act += 1
             else:
-                remaining.append(conn)
+                remaining.append(ch)
         self._pending = remaining
+
+    def reset(self) -> None:
+        super().reset()
+        self._arm()
+
+
+class LiveInSim(ConstSim):
+    """Invocation argument source (same emission rule as ConstSim)."""
+
+    __slots__ = ()
+
+    def _source_value(self):
+        return self.instance.args[self.node.index]
 
 
 class LiveOutSim(NodeSim):
@@ -561,7 +567,8 @@ class PhiSim(NodeSim):
         self.last_back = None
         self.last_emitted = None
         self.final_pushed = False
-        self.emit_history = []
+        # In place: the compiled phi step captures the list.
+        self.emit_history.clear()
 
 
 class LoopControlSim(NodeSim):

@@ -8,17 +8,22 @@ task queue as a pending task and releases its tile (this is how the
 queue-based runtime expresses the paper's recursion-as-tasks pattern
 without deadlock).
 
-Two execution kernels share this state:
+Two schedulers share this state:
 
 * the **dense** kernel (:meth:`DataflowInstance.tick`,
   :meth:`TaskBlockSim.tick`) sweeps every node of every instance every
   cycle — the original reference semantics;
-* the **event** kernel (:meth:`DataflowInstance.process`,
-  :meth:`TaskBlockSim.tick_event`) only touches components with a
-  pending wakeup.  Its correctness argument: a node sim's ``tick`` is
-  a strict no-op when its guards fail, so processing any *superset*
-  of the acting nodes in dense sweep order is bit-identical; the wake
-  plumbing below only has to guarantee no acting node is ever missed.
+* the **event** and **compiled** kernels
+  (:meth:`DataflowInstance.process`, :meth:`TaskBlockSim.tick_event`)
+  only touch components with a pending wakeup.  They share the
+  scheduler, the instance sweep and its commit, and differ only in an
+  instance's steps, one per node: :meth:`NodeSim.step` around the
+  node's reference ``tick`` (event), or a closure bound once per
+  instance from :mod:`repro.sim.compile` (compiled).  The correctness
+  argument: a node sim's ``tick`` is a strict no-op when its guards
+  fail, so processing any *superset* of the acting nodes in dense
+  sweep order is bit-identical; the wake plumbing below only has to
+  guarantee no acting node is ever missed.
 
 Event visibility rule (matches the dense sweep order): an event
 produced at cycle *t* is delivered at *t* if its target would still be
@@ -229,44 +234,20 @@ class DataflowInstance:
         self._sleep_attr = None           # stall causes of current sleep
         self.attr_sites = None            # bound by Observability
 
-        # -- compiled kernel ----------------------------------------------
-        # Bind the task's compiled step closures to this instance's
-        # channels/forks/latencies and shadow ``process`` with the
-        # dispatch-free sweep.  Must run after everything above: the
-        # binders capture node sims, channels, and instance callbacks.
-        # ``_ctask`` stays set so a pooled instance can rebind on
-        # recycle.
-        self._ctask = None
+        # -- steps: one callable per node, swept by ``process`` ---------
+        # The compiled kernel binds the task's step closures once per
+        # instance (they capture node sims, channels and instance
+        # callbacks, so this runs last; a recycled instance keeps
+        # them); the event kernel steps each sim's reference ``tick``.
         compiled = runtime.compiled
         if compiled is not None:
-            ctask = compiled[task.name]
-            # Short-lived tasks (no loop controller) stay on the event
-            # kernel's reference process — binding closures would cost
-            # more than the dispatch they save (see CompiledTask).
-            if not ctask.interpreted:
-                self._steps = ctask.bind(self)
-                # Fault-free instances hold only plain EventChannels,
-                # whose commit the compiled sweep inlines; fault
-                # channels override commit, so a faulted run keeps the
-                # dynamic call.
-                self._plain_commit = runtime.faults is None
-                self.process = self.process_compiled
-                self._ctask = ctask
-
-    # ``activity`` counts sets so the event sweep can tell whether one
-    # particular node acted (token moved / state advanced) during its
-    # tick — the trigger for the self-rearm wake that keeps a node
-    # firing back-to-back exactly like the dense sweep would.
-    @property
-    def activity(self) -> bool:
-        return self._act != 0
-
-    @activity.setter
-    def activity(self, value: bool) -> None:
-        if value:
-            self._act += 1
-        else:
-            self._act = 0
+            self._steps = compiled[task.name].bind(self)
+        elif sched is not None:
+            self._steps = [sim.step for sim in sims]
+        # Fault-free instances hold only plain EventChannels, whose
+        # commit the sweep inlines; fault channels override commit, so
+        # a faulted run keeps the dynamic call.
+        self._plain_commit = runtime.faults is None
 
     def _make_fault_channels(self, static, faults) -> None:
         """Channel construction under an active fault plan.
@@ -317,13 +298,13 @@ class DataflowInstance:
         Construction is the dominant per-invocation cost for
         spawn-heavy workloads, so the block pool hands completed
         instances back through here instead of building new ones.
-        Channels and fork buffers are captured by compiled step
-        closures and must be cleared *in place*; the step closures
-        themselves hold per-invocation nonlocals (source pending
-        lists, FU issue cursors), so compiled instances rebind after
-        the sims are reset.  The pool-release gate (``_wheel_refs``,
-        ``_eq_regs``) guarantees no stale timer or edge-waiter entry
-        can reach the recycled instance.
+        The instance keeps the step closures bound when it was built:
+        they capture only what is fixed for the instance's life or
+        what is reset here *in place* (channels, fork buffers, node
+        sims' containers), and read every other per-invocation field
+        from the sim at step time.  The pool-release gate
+        (``_wheel_refs``, ``_eq_regs``) guarantees no stale timer or
+        edge-waiter entry can reach the recycled instance.
         """
         self.invocation = invocation
         self.args = invocation.args
@@ -359,9 +340,6 @@ class DataflowInstance:
         self._eqb_count = 0
         self._check_at = -1
         self._sleep_attr = None
-        ctask = self._ctask
-        if ctask is not None:
-            self._steps = ctask.bind(self)
 
     # -- protocol callbacks --------------------------------------------------
     def record_liveout(self, index: int, value) -> None:
@@ -470,12 +448,21 @@ class DataflowInstance:
             sim._eq_blocked = False
             self._eqb_count -= 1
 
-    # -- execution (event kernel) -----------------------------------------
+    # -- execution (event and compiled kernels) ---------------------------
     def process(self, now: int) -> None:
         """Sweep the woken nodes in dense order; commit dirty channels.
 
         :meth:`TaskBlockSim.tick_event` has already moved wakes queued
-        in an earlier cycle (``_next``) into ``_ready``."""
+        in an earlier cycle (``_next``) into ``_ready``.  Each node's
+        step sets the sweep cursor, drains its pending forks, ticks,
+        and, if it acted and is not a precise-wake kind, wakes itself
+        for the next cycle: :meth:`NodeSim.step` under the event
+        kernel, a specialized closure from :mod:`repro.sim.compile`
+        under the compiled one.  Fault-free instances commit their
+        dirty channels with :meth:`Channel.commit`'s body inlined
+        (fault channels override ``commit``, so those keep the
+        dynamic call).
+        """
         gap = now - self.last_processed - 1
         if gap > 0:
             # Asleep cycles are provably activity-free: account them
@@ -488,88 +475,14 @@ class DataflowInstance:
         self.last_processed = now
         self._act = 0
         self.force_check = False
-        sims = self.node_sims
+        steps = self._steps
         self._sweeping = True
         # _next is empty (nothing can defer-wake this instance earlier
-        # in its own cycle), so the self-rearm below can OR into it
+        # in its own cycle), so a step's self-rearm can OR into it
         # without _wake_next's promote check.
         self._next_from = now
         # Step the lowest woken node until none is left.  A step may
         # wake nodes above the cursor, so the mask is re-read each time.
-        ready = self._ready
-        while ready:
-            low = ready & -ready
-            self._ready = ready ^ low
-            idx = low.bit_length() - 1
-            self._cursor = idx
-            sim = sims[idx]
-            a0 = self._act
-            for fork in sim._fork_list:
-                if fork.pending:
-                    fork.drain(self)
-            sim.tick(now)
-            if self._act != a0 and not sim.precise_wakes:
-                # The node acted; like the dense sweep it gets
-                # another look next cycle (it may act again).
-                self._next |= low
-            ready = self._ready
-        self._sweeping = False
-        self._cursor = -1
-        if self._dirty:
-            dirty = self._dirty
-            self._dirty = []
-            carry = False
-            for ch in dirty:
-                depth = len(ch.queue)
-                if ch.commit():
-                    self._act += 1
-                if len(ch.queue) > depth:
-                    self._next |= 1 << ch.consumer_idx
-                if ch.pre:
-                    # Two-stage edge still holds an in-flight token:
-                    # it must commit again next cycle.
-                    self._dirty.append(ch)
-                    carry = True
-                else:
-                    ch.dirty = False
-            self._carry = carry
-        else:
-            self._carry = False
-        self.enqueue_blocked = bool(self._eqb_count)
-        if self._act:
-            self.idle_cycles = 0
-        else:
-            self.idle_cycles += 1
-
-    # -- execution (compiled kernel) ---------------------------------------
-    def process_compiled(self, now: int) -> None:
-        """Compiled-kernel twin of :meth:`process`.
-
-        Same gap accounting, sweep order, visibility rule, self-rearm
-        and dirty-channel commit — deliberately duplicated rather than
-        shared so the event kernel stays byte-for-byte the reference
-        it is validated against.  The difference is the per-node work:
-        ``step(now)`` calls the specialized closure from
-        :mod:`repro.sim.compile`, which folds in the fork pre-drain,
-        the sweep-cursor update and (for non-precise kinds) the
-        acted-so-look-again rearm — so the sweep itself is a bare
-        dispatch loop.  Fault-free instances also commit their dirty
-        channels with :meth:`Channel.commit`'s body inlined (fault
-        channels override ``commit``, so those keep the dynamic call).
-        """
-        gap = now - self.last_processed - 1
-        if gap > 0:
-            self.idle_cycles += gap
-            if self._sleep_attr:
-                self.runtime.observer.charge(self._sleep_attr, gap,
-                                             self.last_processed + 1)
-        self._sleep_attr = None
-        self.last_processed = now
-        self._act = 0
-        self.force_check = False
-        steps = self._steps
-        self._sweeping = True
-        self._next_from = now
         ready = self._ready
         while ready:
             low = ready & -ready
@@ -609,6 +522,8 @@ class DataflowInstance:
                     if len(queue) > depth:
                         self._next |= 1 << ch.consumer_idx
                     if pre:
+                        # Two-stage edge still holds an in-flight
+                        # token: it must commit again next cycle.
                         self._dirty.append(ch)
                         carry = True
                     else:
@@ -820,7 +735,7 @@ class TaskBlockSim:
         parked: List[DataflowInstance] = []
         for inst in self.active:
             inst.tick(now)
-            active_cycle |= inst.activity
+            active_cycle |= inst._act != 0
             if inst.is_complete():
                 finished.append(inst)
             elif inst.parkable():
@@ -994,7 +909,7 @@ class SimRuntime:
         #: Fault injector of the run (None = fault-free).
         self.faults = faults
         #: ``{task name: CompiledTask}`` from :func:`repro.sim.compile.
-        #: compile_circuit` (None = interpretive dispatch).
+        #: compile_circuit` (None = each node's reference ``tick``).
         self.compiled = compiled
         #: BatchContext when this run steps N lanes at once (payload
         #: values are lane vectors; binders select lane-aware

@@ -2,9 +2,10 @@
 attribution a failed run ships.
 
 The counts are simulator events — block visits, instance sweeps,
-classified sleep episodes — not Python calls, so they are the same on
-every Python version.  A change that makes the scheduler visit more
-blocks or sweep more instances per simulated cycle moves them.
+classified sleep episodes, instance builds, recycles and binds — not
+Python calls, so they are the same on every Python version.  A change
+that makes the scheduler visit more blocks or sweep more instances
+per simulated cycle moves them.
 """
 
 import json
@@ -19,20 +20,24 @@ from repro.frontend import compile_minic, translate_module
 from repro.frontend.interp import Memory
 from repro.opt.pass_manager import PassManager
 from repro.sim import SimParams, simulate
+from repro.sim.compile import CompiledTask
+from repro.sim.nodesim import NodeSim
 from repro.sim.observe import Observability
 from repro.sim.task import DataflowInstance, SimRuntime, TaskBlockSim
 from repro.workloads import WORKLOADS
 
 #: Per eval-sim kernel (all-opts, compiled kernel): simulated cycles,
-#: block visits, instance sweeps and classified sleep episodes.  Only
-#: blocks with work are visited: 7,855 visits over 7,495 cycles, where
-#: visiting every block every cycle took 25,242.
+#: block visits, instance sweeps, classified sleep episodes, instance
+#: builds and instance recycles.  Only blocks with work are visited:
+#: 7,855 visits over 7,495 cycles, where visiting every block every
+#: cycle took 25,242.  Every instance binds its steps once, when it is
+#: built, so binds equal builds.
 WORK = {
-    "gemm": (1934, 2825, 4855, 529),
-    "fft": (1658, 1704, 1703, 40),
-    "saxpy": (3080, 2319, 5341, 1460),
-    "stencil": (261, 328, 1221, 97),
-    "img_scale": (562, 679, 3916, 173),
+    "gemm": (1934, 2825, 4855, 529, 12, 62),
+    "fft": (1658, 1704, 1703, 40, 3, 5),
+    "saxpy": (3080, 2319, 5341, 1460, 6, 252),
+    "stencil": (261, 328, 1221, 97, 20, 2),
+    "img_scale": (562, 679, 3916, 173, 26, 8),
 }
 
 
@@ -62,11 +67,12 @@ def work(monkeypatch):
         monkeypatch.setattr(cls, name, counting)
 
     count(TaskBlockSim, "tick_event", "visits")
-    # A compiled instance binds ``process_compiled`` as its
-    # ``process``; an interpreted one keeps ``process``.
     count(DataflowInstance, "process", "sweeps")
-    count(DataflowInstance, "process_compiled", "sweeps")
     count(Observability, "classify_instance", "classified")
+    count(DataflowInstance, "__init__", "builds")
+    count(DataflowInstance, "recycle", "recycles")
+    count(CompiledTask, "bind", "binds")
+    count(NodeSim, "step", "node_steps")
     count(SourceLoc, "label", "labels")
 
     def setup_done():
@@ -82,11 +88,15 @@ class TestWorkCounts:
         w, circuit = _allopts(name)
         result = simulate(circuit, w.fresh_memory(), list(w.args_for()),
                           SimParams(kernel="compiled"))
-        cycles, visits, sweeps, classified = WORK[name]
+        cycles, visits, sweeps, classified, builds, recycles = WORK[name]
         assert result.cycles == cycles
         assert (work["visits"], work["sweeps"], work["classified"]) == \
             (visits, sweeps, classified)
         assert work["runtimes"] == 1
+        # Recycled instances keep their steps, and every task runs
+        # compiled steps: no event-kernel node step.
+        assert (work["builds"], work["recycles"], work["binds"],
+                work["node_steps"]) == (builds, recycles, builds, 0)
 
     @pytest.mark.parametrize("name", ["gemm", "saxpy"])
     def test_labels_are_built_before_the_first_cycle(self, name, work):
