@@ -2,8 +2,8 @@
 """Simulation-kernel throughput benchmark.
 
 Runs selected workloads under the simulation kernels (dense reference
-sweep, event-driven wakeup kernel, compiled step-closure kernel) and
-reports simulated cycles per wall-second plus the pairwise speedups.
+sweep, compiled wakeup kernel with step closures) and reports
+simulated cycles per wall-second plus the compiled/dense speedup.
 
 Methodology (what several rounds of container benchmarking taught):
 
@@ -21,14 +21,13 @@ Methodology (what several rounds of container benchmarking taught):
 Usage:
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py \
         [--workloads gemm,fft,saxpy,stencil] [--config allopts] \
-        [--kernels dense,event,compiled] [--repeat 5] \
-        [--min-speedup 1.0] [--min-compiled-speedup 1.0] [--json FILE]
+        [--kernels dense,compiled] [--repeat 5] \
+        [--min-speedup 1.5] [--json FILE]
 
-Exits non-zero if any workload's event/dense speedup falls below
-``--min-speedup``, or if the *geomean* compiled/event speedup falls
-below ``--min-compiled-speedup`` (geomean, not per-workload: single
-workloads swing several points with machine noise; the geomean is the
-stable signal CI can gate on).
+Exits non-zero if the *geomean* compiled/dense speedup falls below
+``--min-speedup`` (geomean, not per-workload: single workloads swing
+several points with machine noise; the geomean is the stable signal
+CI can gate on).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro.sim.engine import SimParams, simulate
 
 BENCH_SCHEMA = "repro.bench_sim_throughput/v2"
 DEFAULT_WORKLOADS = "gemm,fft,saxpy,stencil"
-DEFAULT_KERNELS = "dense,event,compiled"
+DEFAULT_KERNELS = "dense,compiled"
 DEFAULT_JSON = os.path.join(os.path.dirname(__file__), "results",
                             "BENCH_sim_throughput.json")
 
@@ -101,13 +100,10 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default="allopts",
                     choices=("baseline", "allopts"))
     ap.add_argument("--kernels", default=DEFAULT_KERNELS,
-                    help="comma-separated subset of dense,event,compiled")
+                    help="comma-separated subset of dense,compiled")
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--min-speedup", type=float, default=0.0,
-                    help="fail if any per-workload event/dense speedup "
-                         "is below this")
-    ap.add_argument("--min-compiled-speedup", type=float, default=0.0,
-                    help="fail if the geomean compiled/event speedup "
+                    help="fail if the geomean compiled/dense speedup "
                          "is below this")
     ap.add_argument("--json", default=None, metavar="FILE",
                     help=f"write results as JSON (default when run "
@@ -117,7 +113,7 @@ def main(argv=None) -> int:
 
     kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
     for k in kernels:
-        if k not in ("dense", "event", "compiled"):
+        if k not in ("dense", "compiled"):
             ap.error(f"unknown kernel {k!r}")
 
     rows = []
@@ -133,45 +129,29 @@ def main(argv=None) -> int:
             "wall_s": {k: round(w, 4) for k, w in walls.items()},
             "cps": {k: round(cycles / w) for k, w in walls.items()},
         }
-        if "dense" in walls and "event" in walls:
-            row["event_over_dense"] = round(
-                walls["dense"] / walls["event"], 3)
-        if "event" in walls and "compiled" in walls:
-            row["compiled_over_event"] = round(
-                walls["event"] / walls["compiled"], 3)
+        if "dense" in walls and "compiled" in walls:
+            row["compiled_over_dense"] = round(
+                walls["dense"] / walls["compiled"], 3)
         rows.append(row)
         parts = [f"{name}/{args.config}: {cycles} cycles"]
         for k in kernels:
             parts.append(f"{k} {walls[k]:.3f}s "
                          f"({cycles / walls[k]:,.0f} cyc/s)")
-        if "event_over_dense" in row:
-            s = row["event_over_dense"]
-            flag = ""
-            if args.min_speedup and s < args.min_speedup:
-                failed.append(f"{name}: event/dense {s:.2f}x "
-                              f"< {args.min_speedup}x")
-                flag = f"  << below {args.min_speedup}x"
-            parts.append(f"event/dense {s:.2f}x{flag}")
-        if "compiled_over_event" in row:
+        if "compiled_over_dense" in row:
             parts.append(
-                f"compiled/event {row['compiled_over_event']:.2f}x")
+                f"compiled/dense {row['compiled_over_dense']:.2f}x")
         print(" | ".join(parts))
 
     summary = {
-        "event_over_dense": round(geomean(
-            r.get("event_over_dense") for r in rows), 3) or None,
-        "compiled_over_event": round(geomean(
-            r.get("compiled_over_event") for r in rows), 3) or None,
+        "compiled_over_dense": round(geomean(
+            r.get("compiled_over_dense") for r in rows), 3) or None,
     }
-    shown = [f"geomean {k.replace('_over_', '/')} {v:.2f}x"
-             for k, v in summary.items() if v]
-    if shown:
-        print(" | ".join(shown))
-    gate = args.min_compiled_speedup
-    if gate and summary["compiled_over_event"] is not None \
-            and summary["compiled_over_event"] < gate:
-        failed.append(f"geomean compiled/event "
-                      f"{summary['compiled_over_event']:.2f}x < {gate}x")
+    speedup = summary["compiled_over_dense"]
+    if speedup:
+        print(f"geomean compiled/dense {speedup:.2f}x")
+    gate = args.min_speedup
+    if gate and speedup is not None and speedup < gate:
+        failed.append(f"geomean compiled/dense {speedup:.2f}x < {gate}x")
 
     json_path = DEFAULT_JSON if args.json == "default" else args.json
     if json_path:

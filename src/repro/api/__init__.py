@@ -247,7 +247,7 @@ class Pipeline:
         workload.  A checked run snapshots its input memory image and
         compares the simulated memory and returned values exactly
         against the reference interpreter run on the same snapshot and
-        args.  ``kernel`` ("event" / "dense" / "compiled") overrides
+        args.  ``kernel`` ("compiled" / "dense") overrides
         the kernel without building a full ``SimParams``.
         """
         if kernel is not None:

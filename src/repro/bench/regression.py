@@ -11,13 +11,13 @@ Two checks, by strength:
 * **cycles** (hard) — simulation is deterministic, so each workload's
   simulated cycle count must match the committed row exactly; a drift
   here is a semantic change, not noise.
-* **speedup geomeans** (thresholded) — absolute wall times do not
-  transfer between machines, but the *relative* kernel speedups
-  (event/dense, compiled/event) do.  The fresh geomean must stay
-  within ``threshold`` (default 20%) of the committed geomean.
+* **speedup geomean** (thresholded) — absolute wall times do not
+  transfer between machines, but the *relative* kernel speedup
+  (compiled/dense) does.  The fresh geomean must stay within
+  ``threshold`` (default 20%) of the committed geomean.
 
 This is how the telemetry acceptance criterion is enforced: with
-telemetry disabled, instrumented hot paths must not drag the geomeans
+telemetry disabled, instrumented hot paths must not drag the geomean
 below the committed baseline's band.
 """
 
@@ -44,10 +44,7 @@ DEFAULT_THRESHOLD = 0.2
 
 #: The geomean columns the committed baseline carries, and the wall
 #: columns each ratio is built from (numerator kernel runs *faster*).
-RATIOS = {
-    "event_over_dense": ("dense", "event"),
-    "compiled_over_event": ("event", "compiled"),
-}
+RATIOS = {"compiled_over_dense": ("dense", "compiled")}
 
 
 def _geomean(values: Sequence[float]) -> Optional[float]:
@@ -115,8 +112,7 @@ def check_throughput(baseline_path: Optional[str] = None, *,
             f"{path} is not a bench_sim_throughput document "
             f"(schema={committed.get('schema')!r})")
 
-    kernels = list(committed.get("kernels",
-                                 ("dense", "event", "compiled")))
+    kernels = list(committed.get("kernels", ("dense", "compiled")))
     config = committed.get("config", "allopts")
     by_name = {r["workload"]: r for r in committed.get("rows", [])}
     names = list(workloads) if workloads else sorted(by_name)

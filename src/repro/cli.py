@@ -154,7 +154,7 @@ def cmd_simulate(args) -> int:
 
     if args.trace_out and args.kernel == "dense":
         raise ReproError(
-            "--trace-out requires the event or compiled kernel "
+            "--trace-out requires the compiled kernel "
             "(rerun without --kernel dense)")
     with open(args.file) as fh:
         source = fh.read()
@@ -213,7 +213,7 @@ def cmd_simulate(args) -> int:
     if args.trace_out:
         if sim.observer is None:
             raise ReproError(
-                "--trace-out requires the event or compiled kernel "
+                "--trace-out requires the compiled kernel "
                 "(rerun without --kernel dense)")
         sim.observer.write_chrome_trace(args.trace_out)
         print(f"wrote {args.trace_out} "
@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="workload source variant")
     kernel_flags = argparse.ArgumentParser(add_help=False)
     kernel_flags.add_argument("--kernel", default=SimParams.kernel,
-                              choices=("event", "dense", "compiled"),
+                              choices=("dense", "compiled"),
                               help="simulation kernel "
                                    f"(default: {SimParams.kernel})")
     batch_flags = argparse.ArgumentParser(add_help=False)
@@ -1108,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Its own --kernel, unset by default, so a replay can tell it was
     # not given.
     p.add_argument("--kernel", default=None,
-                   choices=("event", "dense", "compiled"),
+                   choices=("dense", "compiled"),
                    help=f"kernel under test (default: {SimParams.kernel};"
                         " --replay defaults to the kernel the bundle "
                         "records)")
@@ -1130,7 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifacts-dir", default=None, metavar="DIR",
                    help="write replayable repro bundles for failures")
     p.add_argument("--compare-kernel", default=None,
-                   choices=("event", "dense", "compiled"),
+                   choices=("dense", "compiled"),
                    help="also run every case on this kernel (not "
                         "--kernel itself) and require bit-identical "
                         "behavior including cycle counts")

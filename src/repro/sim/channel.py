@@ -90,7 +90,7 @@ class Channel:
 
 
 class EventChannel(Channel):
-    """A :class:`Channel` that reports events to the wakeup kernel.
+    """A :class:`Channel` that reports events to the compiled kernel.
 
     Two hooks implement the latency-insensitive protocol's wake
     conditions without any polling:

@@ -1,14 +1,12 @@
 """Compiled simulation kernel: circuit -> dispatch-free step closures.
 
-The event kernel fixed *which* components tick each cycle; this
-module fixes *how much one tick costs*.  ``kernel="compiled"`` keeps
-the event kernel's scheduler, wake plumbing, instance sweep and
-channel commit unchanged (that is the correctness-critical part) and
-replaces only the per-node step: instead of ``NodeSim.step`` around a
-polymorphic ``sim.tick(now)`` — two method calls and a body full of
-``self.x.y`` chains — every node instance gets a **specialized step
-closure** bound once when the instance is built, with everything the
-body touches bound as closure locals:
+``kernel="compiled"`` is wakeup-driven: its scheduler
+(:mod:`repro.sim.task`, :mod:`repro.sim.events`) fixes *which* nodes
+step each cycle, and this module fixes *how much one step costs*.
+Instead of a polymorphic ``sim.tick(now)`` — a method call and a body
+full of ``self.x.y`` chains — every node instance gets a
+**specialized step closure** bound once when the instance is built,
+with everything the body touches bound as closure locals:
 
 * channel endpoints (*ready tokens*: the channel's ``queue`` deque for
   FIFO edges, truthy exactly when a token is visible; the latched
@@ -23,12 +21,19 @@ body touches bound as closure locals:
   (:func:`repro.core.semantics.specialize_compute`) that skips the op
   string-compare chain and the per-fire type dispatch.
 
-Each closure replicates the matching ``NodeSim.step`` *exactly* —
-guard order, ``instance._act`` increments, wake/self-schedule calls,
-stats counters — so the compiled kernel is bit-identical to the event
-kernel by the same superset-sweep argument (tick is a strict no-op
-when its guards fail).  All per-invocation state stays on the sim
-object, where outside observers (stall classification, deadlock
+Each closure replicates the matching ``NodeSim.tick`` *exactly* —
+guard order, ``instance._act`` increments, stats counters — plus the
+scheduler bookkeeping ``tick`` does not carry (the dense kernel steps
+``tick`` and sweeps every node every cycle, so it needs none): set
+the sweep cursor, drain pending forks, arm a timer for every
+``now``-dependent guard (``instance.schedule_node``), wake the nodes
+an action may unblock (``wake_node``, ``on_sink_progress``,
+``on_loop_finished``, the enqueue-blocked notes), and rearm a node
+that acted.  The compiled kernel is therefore bit-identical to the
+dense kernel by the superset-sweep argument (a step is a strict
+no-op when its guards fail) as long as its wakes miss no acting
+node.  All per-invocation state stays on the sim object, where
+outside observers (stall classification, deadlock
 diagnostics, completion gating) and ``reset`` reach it: ``records``,
 ``sink_count``, ``started``/``finished``/``issued``, a compute unit's
 ``next_fire``, a source's owed channels and value.  A closure
@@ -110,11 +115,10 @@ def _fork_accept(fork):
 def _rearm_locals(sim):
     """(idx, bit) for a binder's self-rearm tail.
 
-    ``NodeSim.step`` does, around every tick: set the sweep cursor,
-    snapshot ``_act``, and — if the node acted and is not a
-    precise-wake kind — wake the node again for next cycle.  Every
-    binder folds that bookkeeping into the step body itself: cursor
-    first, then on any path that acted (``_act`` changed),
+    A node that acted may act again next cycle, when the dense sweep
+    would look at it again, so every step sets the sweep cursor first
+    and then, on any path that acted (``_act`` changed), wakes the
+    node for next cycle:
 
         inst._next |= bit
 
@@ -122,15 +126,22 @@ def _rearm_locals(sim):
     snapshot (zero-cost on the non-exception path under CPython 3.11's
     exception tables); single-act bodies test directly.  The sweep
     stamps ``_next`` with the current cycle before the first step, so
-    the tail needs no promote check.  Precise kinds (compute/tensor/
-    fused) never self-rearm — their steps only set the cursor."""
+    the tail needs no promote check.
+
+    Function units (compute/tensor/fused) never self-rearm — their
+    steps only set the cursor.  After a fire the only un-signalled way
+    for them to act next cycle is an immediate back-to-back fire
+    (interval 1, pipe space, inputs still ready), which the step wakes
+    explicitly.  Everything else is covered: token arrivals by the
+    commit wake, blocked retires and forks by the consumer's credit
+    return, future retires and initiation gaps by per-fire timers."""
     return sim.idx, 1 << sim.idx
 
 
 # ---------------------------------------------------------------------------
 # Per-kind binders.  Each ``_bind_<kind>(sim, inst, data)`` returns a
-# ``step(now)`` closure replicating ``NodeSim.step`` over
-# ``<Kind>Sim.tick``, fork pre-drain included.
+# ``step(now)`` closure replicating ``<Kind>Sim.tick``, fork pre-drain
+# and wakes included.
 # ---------------------------------------------------------------------------
 
 def _bind_source(sim, inst, data):
@@ -190,7 +201,8 @@ def _bind_compute(sim, inst, data):
     The common shapes (wired output fork, 1/2/3 inputs) get fully
     unrolled variants: per-input ready-token truth tests, positional
     pops feeding a positional evaluator (no operand-list allocation),
-    and both in-order retire loops inlined.  Anything else (unwired
+    and both in-order retire loops inlined; arity 1 and 2 also get
+    their own II 1 and II > 1 variants.  Anything else (unwired
     output, operand-count mismatch) falls back to the generic
     loop-based twin of ``ComputeSim.tick``.
 
@@ -347,6 +359,9 @@ def _bind_compute(sim, inst, data):
 
                 return step
 
+            # II > 1 (divide, remainder, exp, sqrt): the issue cursor
+            # lives on the sim, and a timer wakes the unit when it may
+            # issue again.
             def step(now):
                 inst._cursor = idx
                 if fork.pending:
@@ -364,8 +379,7 @@ def _bind_compute(sim, inst, data):
                 next_fire = sim.next_fire = now + interval
                 if latency > 1:
                     sched(idx, now + latency - 1)
-                if interval > 1:
-                    sched(idx, next_fire)
+                sched(idx, next_fire)
                 inst._act += 1
                 fires[kind] += 1
                 while pipe and pipe[0][0] <= now:
@@ -374,8 +388,6 @@ def _bind_compute(sim, inst, data):
                     accept(pipe[0][1], inst)
                     popleft()
                     inst._act += 1
-                if interval == 1 and len(pipe) < capacity and qa:
-                    wake(idx)
 
             return step
         if arity == 2:
@@ -406,6 +418,7 @@ def _bind_compute(sim, inst, data):
 
                 return step
 
+            # II > 1, as for arity 1.
             def step(now):
                 inst._cursor = idx
                 if fork.pending:
@@ -423,8 +436,7 @@ def _bind_compute(sim, inst, data):
                 next_fire = sim.next_fire = now + interval
                 if latency > 1:
                     sched(idx, now + latency - 1)
-                if interval > 1:
-                    sched(idx, next_fire)
+                sched(idx, next_fire)
                 inst._act += 1
                 fires[kind] += 1
                 while pipe and pipe[0][0] <= now:
@@ -433,9 +445,6 @@ def _bind_compute(sim, inst, data):
                     accept(pipe[0][1], inst)
                     popleft()
                     inst._act += 1
-                if interval == 1 and len(pipe) < capacity \
-                        and qa and qb:
-                    wake(idx)
 
             return step
         ca, cb, cc = chans

@@ -1,28 +1,25 @@
 """Top-level simulation driver.
 
-Three kernels produce bit-identical results (same ``SimResult.cycles``,
-same memory image, same outputs):
+Two kernels produce bit-identical results (same ``SimResult.cycles``,
+same memory image, same outputs, and the same stats document apart
+from stall attribution, which only the compiled kernel records):
 
-* ``kernel="compiled"`` (default) — the event kernel's scheduler
-  driving per-node step closures specialized once per run
-  (:mod:`repro.sim.compile`): no per-tick ``isinstance``/attribute
+* ``kernel="compiled"`` (default) — wakeup-driven: only components
+  with a pending wake are touched each cycle (see
+  :mod:`repro.sim.events` and the instance-level machinery in
+  :mod:`repro.sim.task`), and the memory system skips its idle
+  components.  Each node steps through a closure specialized once per
+  run (:mod:`repro.sim.compile`): no per-tick ``isinstance``/attribute
   dispatch on the hot path.  Each run compiles the circuit as it is
   now (a fraction of a millisecond, less than hashing it), so a
   circuit a pass has edited since its last run never meets a stale
   plan.
-* ``kernel="event"`` — wakeup-driven: only components with a pending
-  wake are touched each cycle (see :mod:`repro.sim.events` and the
-  instance-level machinery in :mod:`repro.sim.task`), and the memory
-  system is skipped entirely while idle.  Typically several times
-  faster than the dense sweep on memory-bound circuits.  The same
-  scheduler and instance sweep as the compiled kernel, stepping each
-  node's reference ``tick`` (``NodeSim.step``) where the compiled
-  kernel calls its closures.
-* ``kernel="dense"`` — the original reference loop that sweeps every
-  node of every active instance every cycle.  Kept as the equivalence
-  oracle and for debugging the event kernel itself.
+* ``kernel="dense"`` — the reference loop that sweeps every node of
+  every active instance every cycle through the node sims' ``tick``
+  (:mod:`repro.sim.nodesim`).  It has no wakes, so it is the
+  independent check of the compiled kernel's scheduler and steps.
 
-The event kernel also powers the observability layer
+The compiled kernel also powers the observability layer
 (:mod:`repro.sim.observe`): stall attribution per node/cause and an
 optional ring-buffer trace, surfaced through ``SimResult.observer``.
 """
@@ -65,9 +62,8 @@ class SimParams:
     #: Queue depth used for decoupled (<||deep>) task edges.
     decoupled_queue_depth: int = 64
     validate: bool = True
-    #: "compiled" (event scheduler + specialized step closures,
-    #: default), "event" (wakeup-driven reference) or "dense"
-    #: (reference sweep).
+    #: "compiled" (wakeup scheduler + specialized step closures,
+    #: default) or "dense" (reference sweep).
     kernel: str = "compiled"
     #: Observability level: "off", "counters" (default) or "trace".
     observe: str = "counters"
@@ -112,7 +108,7 @@ class Simulator:
         self.circuit = circuit
         self.memory_obj = memory
         self.params = params or SimParams()
-        if self.params.kernel not in ("event", "dense", "compiled"):
+        if self.params.kernel not in ("dense", "compiled"):
             raise SimulationError(
                 f"unknown simulation kernel {self.params.kernel!r}")
         if self.params.validate:
@@ -122,18 +118,6 @@ class Simulator:
         if self.params.kernel == "dense":
             return self._run_dense(args)
         return self._run_kernel(args)
-
-    def _run_kernel(self, args: Sequence, image: Optional[LaneImage] = None,
-                    batch: Optional[BatchContext] = None) -> SimResult:
-        """One run of the event or compiled kernel, over the scalar
-        memory or (``image`` + ``batch``) a lane-vectorized image; the
-        caller routes dense requests elsewhere."""
-        if self.params.kernel != "compiled":
-            return self._run_event(args, image=image, batch=batch)
-        from .compile import compile_circuit
-        return self._run_event(args,
-                               compiled=compile_circuit(self.circuit),
-                               image=image, batch=batch)
 
     def _make_injector(self) -> Optional[FaultInjector]:
         plan = self.params.faults
@@ -177,12 +161,16 @@ class Simulator:
                         WatchdogTimeout(now, elapsed, self.limit),
                         stats, now, self.observer)
 
-    # -- event kernel (also hosts the compiled kernel) ---------------------
-    def _run_event(self, args: Sequence, compiled=None, image=None,
-                   batch=None) -> SimResult:
+    # -- compiled kernel ----------------------------------------------------
+    def _run_kernel(self, args: Sequence, image: Optional[LaneImage] = None,
+                    batch: Optional[BatchContext] = None) -> SimResult:
+        """One run of the compiled kernel, over the scalar memory or
+        (``image`` + ``batch``) a lane-vectorized image; the caller
+        routes dense requests elsewhere."""
+        from .compile import compile_circuit
         params = self.params
         stats = SimStats()
-        stats.kernel = "compiled" if compiled is not None else "event"
+        stats.kernel = "compiled"
         sched = EventScheduler()
         observer = Observability(stats, params.observe,
                                  params.trace_capacity)
@@ -193,7 +181,8 @@ class Simulator:
             stats, faults)
         runtime = SimRuntime(self.circuit, memsys, stats, params,
                              sched=sched, observer=observer,
-                             faults=faults, compiled=compiled,
+                             faults=faults,
+                             compiled=compile_circuit(self.circuit),
                              batch=batch)
         runtime.start_root(list(args))
 
@@ -255,8 +244,7 @@ class Simulator:
             if faults is not None:
                 faults.now = now
             active = runtime.tick(now)
-            memsys.tick(now)
-            active |= memsys.commit()
+            active |= memsys.tick_active(now)
             now += 1
             if runtime.root_done:
                 break   # completed this very cycle: no limit applies

@@ -1,4 +1,4 @@
-"""Wakeup scheduling for the event-driven simulation kernel.
+"""Wakeup scheduling for the compiled (wakeup-driven) simulation kernel.
 
 The kernel's contract with the dense reference engine is *order
 preservation*: any superset of the nodes that would act in a cycle,

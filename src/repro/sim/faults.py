@@ -248,7 +248,7 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 # Latency jitter generalizes Channel's register pipeline: a token
 # pushed at cycle t becomes visible at t + stages + extra.  In-flight
-# tokens live in ``pre`` as [commits_left, value] pairs so the event
+# tokens live in ``pre`` as [commits_left, value] pairs so the compiled
 # kernel's carry machinery ("ch.pre is truthy => keep committing")
 # works unchanged.  Capacity grows by ``extra`` — each injected
 # register stage is also a buffer slot, exactly as in hardware.
@@ -309,7 +309,7 @@ class FaultChannel(Channel):
 
 
 class FaultEventChannel(EventChannel):
-    """Event-kernel channel with latency jitter + stall windows.
+    """Compiled-kernel channel with latency jitter + stall windows.
 
     Wake contract: the creator schedules a producer wake at each stall
     window's end (the credit-restore edge), so a producer asleep on a

@@ -347,9 +347,6 @@ class JunctionSim:
         self._staged.clear()
         return moved or bool(self.queue)
 
-    def busy(self) -> bool:
-        return bool(self.queue) or bool(self._staged)
-
 
 class MemorySystem:
     """All structure/junction simulators for one circuit."""
@@ -386,38 +383,18 @@ class MemorySystem:
     def junction_sim(self, junction: Junction) -> JunctionSim:
         return self.junction_sims[id(junction)]
 
-    def tick(self, now: int) -> None:
-        for jsim in self.junction_sims.values():
-            jsim.tick(now)
-        for ssim in self.structure_sims.values():
-            ssim.tick(now)
-        self.dram.tick(now)
-
-    def commit(self) -> bool:
-        active = False
-        for jsim in self.junction_sims.values():
-            active |= jsim.commit()
-        for ssim in self.structure_sims.values():
-            active |= ssim.commit()
-        active |= self.dram.commit()
-        return active
-
-    def busy(self) -> bool:
-        return any(j.busy() for j in self.junction_sims.values()) or \
-            any(s.busy() for s in self.structure_sims.values()) or \
-            bool(self.dram.queue) or bool(self.dram.pending) or \
-            bool(self.dram._staged)
-
     def tick_active(self, now: int) -> bool:
-        """One-pass tick + commit that skips idle components.
+        """One cycle of the memory system: tick and commit each busy
+        component in turn (junctions, structures, DRAM), skipping idle
+        ones.
 
-        Equivalent to ``tick(now)`` followed by ``commit()``: an idle
-        component's tick and commit are both no-ops, and the staged
-        buffers between junction -> structure -> DRAM decouple the
-        component pairs, so per-component tick+commit in the dense
-        visit order is indistinguishable from the two-phase sweep.
-        Returns the combined commit activity (the event kernel's
-        progress signal).
+        An idle component's tick and commit are both no-ops, and the
+        staged buffers between junction -> structure -> DRAM decouple
+        the component pairs, so committing each component right after
+        its own tick moves the same requests as ticking all, then
+        committing all.  Returns the combined commit activity (the
+        kernels' progress signal): whether any component moved a
+        request or still holds work after its commit.
         """
         active = False
         for jsim in self._jsims:

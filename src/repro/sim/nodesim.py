@@ -6,6 +6,13 @@ has a token (latched channels always do) and internal capacity allows,
 retire results in order when the output channels have space.  Function
 units are pipelined with the latency / initiation interval from
 :mod:`repro.core.oplib`.
+
+A sim's ``tick`` is the node's reference semantics, stepped by the
+dense kernel, which sweeps every node every cycle and so needs no
+wakes: ``tick`` carries none.  The compiled kernel keeps its state
+on these same objects but steps closures (:mod:`repro.sim.compile`)
+that replicate ``tick`` and add the wake bookkeeping its scheduler
+needs.
 """
 
 from __future__ import annotations
@@ -80,11 +87,9 @@ class _ForkBuffer:
 class NodeSim:
     """Base: channel helpers bound to one dataflow instance.
 
-    Event-kernel contract: ``tick`` must be a strict no-op whenever
-    its guards fail, so being woken spuriously is always safe.  In
-    exchange, every ``now``-dependent guard a sim introduces must
-    self-schedule a wakeup (``instance.schedule_node``) when it
-    arms the timer — the kernel has no polling to fall back on.
+    ``tick`` must be a strict no-op whenever its guards fail: the
+    compiled kernel's step closures replicate it, and a spurious wake
+    of a node must never change the run.
     """
 
     # Slotted (here and in every subclass): tens of thousands of sims
@@ -95,11 +100,6 @@ class NodeSim:
                  "_forks", "_fork_list")
 
     is_iter_sink = False
-    #: Sims that issue their own next-cycle wakes from ``tick`` opt out
-    #: of the kernel's blanket acted-so-look-again rearm.  Opting out is
-    #: only sound if every way the sim could act next cycle is covered
-    #: by another wake source (channel commit, credit return, timer).
-    precise_wakes = False
 
     def __init__(self, node, instance):
         self.node = node
@@ -161,22 +161,6 @@ class NodeSim:
 
     def busy(self) -> bool:
         return False
-
-    def step(self, now: int) -> None:
-        """The event kernel's sweep step: set the sweep cursor, drain
-        pending forks, ``tick``, and if the node acted and does not
-        issue its own wakes (``precise_wakes``), look at it again next
-        cycle, as the dense sweep would.  A compiled step closure folds
-        the same bookkeeping into its body."""
-        instance = self.instance
-        idx = instance._cursor = self.idx
-        a0 = instance._act
-        for fork in self._fork_list:
-            if fork.pending:
-                fork.drain(instance)
-        self.tick(now)
-        if instance._act != a0 and not self.precise_wakes:
-            instance._next |= 1 << idx
 
     def reset(self) -> None:
         """Return to the just-constructed state for instance recycling.
@@ -253,32 +237,16 @@ class LiveOutSim(NodeSim):
             self.instance._act += 1
 
 
-class ComputeSim(NodeSim):
-    """Pipelined function unit for compute/tensor/gep ops.
+class PipelinedSim(NodeSim):
+    """Base of the function units (compute, fused, select): results
+    wait in ``pipe`` as ``(ready cycle, value)`` pairs and retire in
+    order into the output fork."""
 
-    Opted out of the kernel's blanket rearm: after a fire the only
-    un-signalled way to act next cycle is an immediate back-to-back
-    fire (interval 1, pipe space, inputs still ready), which ``tick``
-    wakes explicitly.  Everything else is covered — token arrivals by
-    the commit wake, blocked retires/forks by the consumer's credit
-    return, future retires and initiation gaps by per-fire timers.
-    """
-
-    __slots__ = ("latency", "interval", "pipe", "next_fire",
-                 "capacity", "in_chans", "out_fork")
-
-    precise_wakes = True
+    __slots__ = ("pipe", "out_fork")
 
     def __init__(self, node, instance):
         super().__init__(node, instance)
-        info = oplib.op_info(node.op, node.out.type)
-        self.latency = max(1, info.latency) + _fu_fault_extra(
-            node, instance)
-        self.interval = max(1, info.initiation_interval)
         self.pipe: deque = deque()
-        self.next_fire = 0
-        self.capacity = max(1, self.latency)
-        self.in_chans = self._in_chans(node.in_ports)
         self.out_fork = self._forks.get(node.out.name)
 
     def _retire(self, now: int) -> None:
@@ -292,6 +260,30 @@ class ComputeSim(NodeSim):
                 fork.accept(pipe[0][1], instance)
             pipe.popleft()
             instance._act += 1
+
+    def busy(self) -> bool:
+        return bool(self.pipe)
+
+    def reset(self) -> None:
+        super().reset()
+        self.pipe.clear()
+
+
+class ComputeSim(PipelinedSim):
+    """Pipelined function unit for compute/tensor/gep ops."""
+
+    __slots__ = ("latency", "interval", "next_fire", "capacity",
+                 "in_chans")
+
+    def __init__(self, node, instance):
+        super().__init__(node, instance)
+        info = oplib.op_info(node.op, node.out.type)
+        self.latency = max(1, info.latency) + _fu_fault_extra(
+            node, instance)
+        self.interval = max(1, info.initiation_interval)
+        self.next_fire = 0
+        self.capacity = max(1, self.latency)
+        self.in_chans = self._in_chans(node.in_ports)
 
     def tick(self, now: int) -> None:
         if self.pipe:
@@ -314,58 +306,26 @@ class ComputeSim(NodeSim):
         # fire.
         self.pipe.append((now + self.latency - 1, result))
         self.next_fire = now + self.interval
-        if self.latency > 1:
-            self.instance.schedule_node(self.idx, now + self.latency - 1)
-        if self.interval > 1:
-            self.instance.schedule_node(self.idx, self.next_fire)
         self.instance._act += 1
         self.instance.stats.node_fires[self.node.kind] += 1
         self._retire(now)
-        if self.interval == 1 and len(self.pipe) < self.capacity:
-            for ch in chans:
-                if not ch.ready():
-                    break
-            else:
-                self.instance.wake_node(self.idx)
-
-    def busy(self) -> bool:
-        return bool(self.pipe)
 
     def reset(self) -> None:
         super().reset()
-        self.pipe.clear()
         self.next_fire = 0
 
 
-class FusedSim(NodeSim):
-    """One-stage evaluation of a fused expression DAG.
-
-    Same precise-wake contract as :class:`ComputeSim` (implicit
+class FusedSim(PipelinedSim):
+    """One-stage evaluation of a fused expression DAG (implicit
     initiation interval of 1)."""
 
-    __slots__ = ("latency", "pipe", "in_chans", "out_fork")
-
-    precise_wakes = True
+    __slots__ = ("latency", "in_chans")
 
     def __init__(self, node, instance):
         super().__init__(node, instance)
         self.latency = max(1, node.latency) + _fu_fault_extra(
             node, instance)
-        self.pipe: deque = deque()
         self.in_chans = self._in_chans(node.in_ports)
-        self.out_fork = self._forks.get(node.out.name)
-
-    def _retire(self, now: int) -> None:
-        pipe = self.pipe
-        fork = self.out_fork
-        instance = self.instance
-        while pipe and pipe[0][0] <= now:
-            if fork is not None:
-                if not fork.can_accept():
-                    return
-                fork.accept(pipe[0][1], instance)
-            pipe.popleft()
-            instance._act += 1
 
     def tick(self, now: int) -> None:
         if self.pipe:
@@ -387,46 +347,17 @@ class FusedSim(NodeSim):
                 vals = vals + [scale]
             results.append(eval_compute(op, vals, rtype))
         self.pipe.append((now + self.latency - 1, results[-1]))
-        if self.latency > 1:
-            self.instance.schedule_node(self.idx, now + self.latency - 1)
         self.instance._act += 1
         self.instance.stats.node_fires["fused"] += 1
         self._retire(now)
-        if len(self.pipe) < self.latency:
-            for ch in chans:
-                if not ch.ready():
-                    break
-            else:
-                self.instance.wake_node(self.idx)
-
-    def busy(self) -> bool:
-        return bool(self.pipe)
-
-    def reset(self) -> None:
-        super().reset()
-        self.pipe.clear()
 
 
-class SelectSim(NodeSim):
-    __slots__ = ("pipe", "in_chans", "out_fork")
+class SelectSim(PipelinedSim):
+    __slots__ = ("in_chans",)
 
     def __init__(self, node, instance):
         super().__init__(node, instance)
-        self.pipe: deque = deque()
         self.in_chans = self._in_chans([node.cond, node.a, node.b])
-        self.out_fork = self._forks.get(node.out.name)
-
-    def _retire(self, now: int) -> None:
-        pipe = self.pipe
-        fork = self.out_fork
-        instance = self.instance
-        while pipe and pipe[0][0] <= now:
-            if fork is not None:
-                if not fork.can_accept():
-                    return
-                fork.accept(pipe[0][1], instance)
-            pipe.popleft()
-            instance._act += 1
 
     def tick(self, now: int) -> None:
         if self.pipe:
@@ -446,13 +377,6 @@ class SelectSim(NodeSim):
         self.pipe.append((now, lane_select(cond, a, b)))
         self.instance._act += 1
         self._retire(now)
-
-    def busy(self) -> bool:
-        return bool(self.pipe)
-
-    def reset(self) -> None:
-        super().reset()
-        self.pipe.clear()
 
 
 class PhiSim(NodeSim):
@@ -512,7 +436,6 @@ class PhiSim(NodeSim):
                 self.next_val = value
                 self.have_next = True
                 instance._act += 1
-                instance.on_sink_progress()
         if self.have_next:
             fork = self.out_fork
             if fork is None or fork.can_accept():
@@ -653,7 +576,6 @@ class LoopControlSim(NodeSim):
         self._out_push(node.active, True)
         self.issued += 1
         self.next_issue = now + max(1, node.pipeline_stages)
-        self.instance.schedule_node(self.idx, self.next_issue)
         self.instance.stats.iterations[self.instance.task.name] += 1
 
     def _tick_conditional(self, now: int) -> None:
@@ -666,7 +588,6 @@ class LoopControlSim(NodeSim):
                 self._out_push(node.active, True)
                 self.issued = 1
                 self.next_issue = now + max(1, node.pipeline_stages)
-                self.instance.schedule_node(self.idx, self.next_issue)
                 self.instance.stats.iterations[
                     self.instance.task.name] += 1
             return
@@ -690,7 +611,6 @@ class LoopControlSim(NodeSim):
         self._out_push(node.active, True)
         self.issued += 1
         self.next_issue = now + max(1, node.pipeline_stages)
-        self.instance.schedule_node(self.idx, self.next_issue)
         self.instance.stats.iterations[self.instance.task.name] += 1
 
     def _finish(self, now: int) -> None:
@@ -701,7 +621,6 @@ class LoopControlSim(NodeSim):
             else self.trips
         self.instance.loop_finished = True
         self.instance._act += 1
-        self.instance.on_loop_finished()
 
     def _maybe_finish_outputs(self, now: int) -> None:
         node = self.node
@@ -783,7 +702,6 @@ class LoadSim(NodeSim):
             self._out_push(node.out, value)
             self._out_push(node.done, True)
             self.sink_count += 1
-            self.instance.on_sink_progress()
         # Fire.
         if len(self.records) >= node.max_outstanding:
             return
@@ -803,21 +721,16 @@ class LoadSim(NodeSim):
             chans[pos].pop()
         self.instance._act += 1
         if not enabled:
-            rec = _MemRecord(0, poison=True)
-            self.records.append(rec)
-            # Nothing outstanding: self-wake to retire next cycle.
-            self.instance.wake_node(self.idx)
+            self.records.append(_MemRecord(0, poison=True))
             return
         rec = _MemRecord(self.words)
         self.records.append(rec)
         self.instance.stats.memory_reads += self.words
         base = int(addr)
         for w in range(self.words):
-            def on_done(req, r=rec, i=w, s=self):
+            def on_done(req, r=rec, i=w):
                 r.words[i] = req.value
                 r.remaining -= 1
-                if r.remaining == 0:
-                    s.instance.wake_node(s.idx)
             self.junction_sim.submit(
                 MemRequest(base + w, False, on_done=on_done))
 
@@ -857,7 +770,6 @@ class StoreSim(NodeSim):
             self.records.popleft()
             self._out_push(node.done, True)
             self.sink_count += 1
-            self.instance.on_sink_progress()
         if len(self.records) >= node.max_outstanding:
             return
         chans = self.req_chans
@@ -878,7 +790,6 @@ class StoreSim(NodeSim):
         self.instance._act += 1
         if not enabled:
             self.records.append(_MemRecord(0, poison=True))
-            self.instance.wake_node(self.idx)
             return
         rec = _MemRecord(self.words)
         self.records.append(rec)
@@ -887,10 +798,8 @@ class StoreSim(NodeSim):
         values = (lane_unpack_words(data, self.words)
                   if self.words > 1 else [data])
         for w in range(self.words):
-            def on_done(req, r=rec, s=self):
+            def on_done(req, r=rec):
                 r.remaining -= 1
-                if r.remaining == 0:
-                    s.instance.wake_node(s.idx)
             self.junction_sim.submit(
                 MemRequest(base + w, True, value=values[w],
                            on_done=on_done))
@@ -920,7 +829,7 @@ class CallSim(NodeSim):
 
     def __init__(self, node, instance):
         super().__init__(node, instance)
-        # Sticky enqueue-blocked state for the event kernel (see
+        # Sticky enqueue-blocked state for the compiled kernel (see
         # DataflowInstance.note_enqueue_blocked).
         self._eq_blocked = False
         self._eq_registered = False
@@ -952,7 +861,6 @@ class CallSim(NodeSim):
                     self._out_push(port, rec.results[i])
             self._out_push(node.order_out, True)
             self.sink_count += 1
-            self.instance.on_sink_progress()
             self.instance.calls_outstanding -= 1
         if len(self.records) >= self._max_outstanding():
             return
@@ -973,16 +881,13 @@ class CallSim(NodeSim):
                 self.instance.task.name, node.callee, args,
                 reply=rec, parent=self.instance)
             if not ok:
-                self.instance.note_enqueue_blocked(self)
+                self.instance.enqueue_blocked = True
                 return
         else:
             rec = _CallRecord(poison=True)
-            # Poison completes instantly: self-wake to retire.
-            self.instance.wake_node(self.idx)
         for ch in chans:
             ch.pop()
         self.records.append(rec)
-        self.instance.note_enqueue_ok(self)
         self.instance.calls_outstanding += 1
         self.instance._act += 1
 
@@ -1034,15 +939,13 @@ class SpawnSim(NodeSim):
                 self.instance.task.name, node.callee, args,
                 reply=None, parent=self.instance)
             if not ok:
-                self.instance.note_enqueue_blocked(self)
+                self.instance.enqueue_blocked = True
                 return
             self.instance.pending_children += 1
         for ch in chans:
             ch.pop()
         self._out_push(node.issued, True)
         self.sink_count += 1
-        self.instance.on_sink_progress()
-        self.instance.note_enqueue_ok(self)
         self.instance._act += 1
 
     def reset(self) -> None:
@@ -1077,7 +980,6 @@ class SyncSim(NodeSim):
         self._out_push(node.done, True)
         self.fired = True
         self.sink_count = 1
-        self.instance.on_sink_progress()
 
     def busy(self) -> bool:
         return False

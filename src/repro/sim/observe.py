@@ -2,10 +2,10 @@
 
 Every stall in the simulator gets an *attributed cause* from the
 taxonomy below, accumulated per node (and per memory site) in
-:class:`repro.sim.stats.SimStats`.  The event kernel makes this nearly
-free: a stall is exactly a sleep episode, so attribution happens once
-per episode (classify on falling asleep, charge the slept cycles on
-wakeup) instead of once per idle cycle.
+:class:`repro.sim.stats.SimStats`.  The compiled kernel makes this
+nearly free: a stall is exactly a sleep episode, so attribution
+happens once per episode (classify on falling asleep, charge the
+slept cycles on wakeup) instead of once per idle cycle.
 
 An episode builds no strings.  At the start of a run each attribution
 site (every load, store, call and spawn node, plus the task itself)

@@ -40,7 +40,7 @@ class SimStats:
         self.junction_stalls = 0
         self.iterations: Counter = Counter()       # loop iterations/task
         self.parked = 0
-        # -- observability extensions (event kernel) ----------------------
+        # -- observability extensions (compiled kernel) -------------------
         #: Cycles a DRAM transaction was in flight (tick granularity).
         self.dram_busy_cycles = 0
         #: Attributed stall cycles by cause (taxonomy in sim.observe).
@@ -60,10 +60,11 @@ class SimStats:
         self.junction_grants: Counter = Counter()
         #: Engine-level accounting: cycles with no activity anywhere.
         self.idle_engine_cycles = 0
-        #: Kernel that produced this run ("event", "dense", or
-        #: "compiled"); aside from this label, event and compiled runs
-        #: produce identical documents.
-        self.kernel = "event"
+        #: Kernel that produced this run ("compiled" or "dense"); a
+        #: dense run's document differs from a compiled one's only in
+        #: this label and in the stall attribution it does not record
+        #: (``stall_cycles``, ``node_stalls``, ``source_stalls``).
+        self.kernel = "compiled"
         # -- batched simulation (sim.engine.simulate_batch) ----------------
         #: Number of workload lanes this document aggregates (0 = a
         #: plain scalar run; the JSON document is unchanged then, so
@@ -133,7 +134,7 @@ class SimStats:
         if schema not in ("repro.simstats/v2", STATS_SCHEMA):
             raise ValueError(f"unsupported stats schema {schema!r}")
         stats = cls()
-        stats.kernel = doc.get("kernel", "event")
+        stats.kernel = doc.get("kernel", "compiled")
         stats.cycles = doc.get("cycles", 0)
         stats.invocations = Counter(doc.get("invocations", {}))
         stats.iterations = Counter(doc.get("iterations", {}))

@@ -12,18 +12,15 @@ Two schedulers share this state:
 
 * the **dense** kernel (:meth:`DataflowInstance.tick`,
   :meth:`TaskBlockSim.tick`) sweeps every node of every instance every
-  cycle — the original reference semantics;
-* the **event** and **compiled** kernels
-  (:meth:`DataflowInstance.process`, :meth:`TaskBlockSim.tick_event`)
-  only touch components with a pending wakeup.  They share the
-  scheduler, the instance sweep and its commit, and differ only in an
-  instance's steps, one per node: :meth:`NodeSim.step` around the
-  node's reference ``tick`` (event), or a closure bound once per
-  instance from :mod:`repro.sim.compile` (compiled).  The correctness
-  argument: a node sim's ``tick`` is a strict no-op when its guards
-  fail, so processing any *superset* of the acting nodes in dense
-  sweep order is bit-identical; the wake plumbing below only has to
-  guarantee no acting node is ever missed.
+  cycle through the node sims' reference ``tick`` — it has no wakes;
+* the **compiled** kernel (:meth:`DataflowInstance.process`,
+  :meth:`TaskBlockSim.tick_event`) only touches components with a
+  pending wakeup, and steps each node through a closure bound once per
+  instance from :mod:`repro.sim.compile`.  The correctness argument: a
+  step, like the ``tick`` it replicates, is a strict no-op when its
+  guards fail, so processing any *superset* of the acting nodes in
+  dense sweep order is bit-identical; the wake plumbing below only
+  has to guarantee no acting node is ever missed.
 
 Event visibility rule (matches the dense sweep order): an event
 produced at cycle *t* is delivered at *t* if its target would still be
@@ -169,7 +166,7 @@ class DataflowInstance:
         self.loop_conditional = False
         self.liveouts: Dict[int, object] = {}
         self.block: Optional["TaskBlockSim"] = None
-        #: In its block's ``active`` list, holding a tile (event
+        #: In its block's ``active`` list, holding a tile (compiled
         #: kernel): only then do its wakes give the block work.
         self.on_tile = False
         #: Not-yet-dispatched timing-wheel entries aimed here
@@ -216,7 +213,7 @@ class DataflowInstance:
         self._loopctl_idxs = static.loopctl_idxs
         self._n_live = len(task.live_out_types)
 
-        # -- event-kernel wake state --------------------------------------
+        # -- compiled-kernel wake state -----------------------------------
         # Node sets are int bitmasks (bit i = node i), so a sweep pops
         # the lowest set bit and visits each woken node once, ascending.
         self._all = (1 << len(sims)) - 1
@@ -234,16 +231,13 @@ class DataflowInstance:
         self._sleep_attr = None           # stall causes of current sleep
         self.attr_sites = None            # bound by Observability
 
-        # -- steps: one callable per node, swept by ``process`` ---------
-        # The compiled kernel binds the task's step closures once per
-        # instance (they capture node sims, channels and instance
-        # callbacks, so this runs last; a recycled instance keeps
-        # them); the event kernel steps each sim's reference ``tick``.
+        # -- steps: one closure per node, swept by ``process`` ----------
+        # Bound once per instance (they capture node sims, channels
+        # and instance callbacks, so this runs last; a recycled
+        # instance keeps them).
         compiled = runtime.compiled
         if compiled is not None:
             self._steps = compiled[task.name].bind(self)
-        elif sched is not None:
-            self._steps = [sim.step for sim in sims]
         # Fault-free instances hold only plain EventChannels, whose
         # commit the sweep inlines; fault channels override commit, so
         # a faulted run keeps the dynamic call.
@@ -256,7 +250,7 @@ class DataflowInstance:
         edges get fault channels carrying their extra stages and/or
         credit-withhold window.  Each transient window's end is armed
         as a producer wake on the timing wheel — the credit-restore
-        edge the event kernel would otherwise never see (a permanent
+        edge the compiled kernel would otherwise never see (a permanent
         freeze arms nothing: it *should* end in a deadlock report).
         """
         sched = self.sched
@@ -350,7 +344,7 @@ class DataflowInstance:
             return 1 << 30
         return min(s.sink_count for s in self.sinks)
 
-    # -- wakeup plumbing (event kernel; all no-ops under dense) -----------
+    # -- wakeup plumbing (compiled kernel) -------------------------------
     def _wake_next(self, mask: int) -> None:
         """Wake ``mask`` next cycle; wakes queued in an earlier cycle
         (the instance was not swept since) move to ``_ready`` first."""
@@ -366,8 +360,6 @@ class DataflowInstance:
 
     def wake_node(self, idx: int) -> None:
         """Deliver a wake to one node under the visibility rule."""
-        if self.sched is None:
-            return
         if self._sweeping:
             if idx > self._cursor:
                 self._ready |= 1 << idx
@@ -382,7 +374,8 @@ class DataflowInstance:
 
     def wake_full(self) -> None:
         """Wake every node (a child delivered).  A parked instance also
-        gives its block unpark work."""
+        gives its block unpark work.  A no-op under the dense kernel,
+        whose ``deliver`` calls it too."""
         if self.sched is None:
             return
         block = self.block
@@ -398,8 +391,6 @@ class DataflowInstance:
 
     def schedule_node(self, idx: int, cycle: int) -> None:
         """Timer: wake ``idx`` at the top of ``cycle``."""
-        if self.sched is None:
-            return
         self.sched.wheel.schedule(cycle, self, idx)
 
     def timer_wake(self, idx: int) -> None:
@@ -415,15 +406,11 @@ class DataflowInstance:
 
     def on_sink_progress(self) -> None:
         """An iteration sink advanced: loop control's window may open."""
-        if self.sched is None:
-            return
         for idx in self._loopctl_idxs:
             self.wake_node(idx)
 
     def on_loop_finished(self) -> None:
         """Loop control finished: final-value pushes unblock everywhere."""
-        if self.sched is None:
-            return
         if self._sweeping:
             above = self._cursor + 1
             self._ready |= self._all >> above << above
@@ -432,8 +419,6 @@ class DataflowInstance:
     def note_enqueue_blocked(self, sim) -> None:
         """A call/spawn failed try_enqueue (callee queue at depth)."""
         self.enqueue_blocked = True
-        if self.sched is None:
-            return
         if not sim._eq_blocked:
             sim._eq_blocked = True
             self._eqb_count += 1
@@ -448,19 +433,17 @@ class DataflowInstance:
             sim._eq_blocked = False
             self._eqb_count -= 1
 
-    # -- execution (event and compiled kernels) ---------------------------
+    # -- execution (compiled kernel) ----------------------------------------
     def process(self, now: int) -> None:
         """Sweep the woken nodes in dense order; commit dirty channels.
 
         :meth:`TaskBlockSim.tick_event` has already moved wakes queued
         in an earlier cycle (``_next``) into ``_ready``.  Each node's
-        step sets the sweep cursor, drains its pending forks, ticks,
-        and, if it acted and is not a precise-wake kind, wakes itself
-        for the next cycle: :meth:`NodeSim.step` under the event
-        kernel, a specialized closure from :mod:`repro.sim.compile`
-        under the compiled one.  Fault-free instances commit their
-        dirty channels with :meth:`Channel.commit`'s body inlined
-        (fault channels override ``commit``, so those keep the
+        step (:mod:`repro.sim.compile`) sets the sweep cursor, drains
+        its pending forks, does what the node's ``tick`` does, and
+        issues the wakes its next action needs.  Fault-free instances
+        commit their dirty channels with :meth:`Channel.commit`'s body
+        inlined (fault channels override ``commit``, so those keep the
         dynamic call).
         """
         gap = now - self.last_processed - 1
@@ -630,7 +613,7 @@ class TaskBlockSim:
         self.task = task
         self.runtime = runtime
         #: Position in block order, and this block's bit in the
-        #: runtime's work masks (event kernel).
+        #: runtime's work masks (compiled kernel).
         self.index = index
         self.bit = 1 << index
         self.ready: deque = deque()
@@ -640,7 +623,7 @@ class TaskBlockSim:
         window = (runtime.params.loop_invocation_window
                   if task.kind == "loop" else 1)
         self.capacity = max(1, task.num_tiles) * max(1, window)
-        #: Event kernel: a parked instance may hold a child response
+        #: Compiled kernel: a parked instance may hold a child response
         #: (the unpark phase has work), and the earliest cycle a
         #: parked enqueue-blocked instance is due for a retry.
         self.has_response = False
@@ -648,10 +631,10 @@ class TaskBlockSim:
         #: Retry timers of this block not yet dispatched (the timing
         #: wheel counts its entries per target).
         self._wheel_refs = 0
-        #: Instance free list (compiled kernel): completed
-        #: instances are recycled instead of reconstructed — instance
-        #: construction dominates spawn-heavy workloads.  None keeps
-        #: the event/dense reference kernels byte-identical.
+        #: Instance free list (fault-free scalar compiled runs):
+        #: completed instances are recycled instead of reconstructed —
+        #: instance construction dominates spawn-heavy workloads.  None
+        #: builds every instance fresh.
         self.pool: Optional[List[DataflowInstance]] = \
             [] if runtime.pooling else None
 
@@ -665,7 +648,7 @@ class TaskBlockSim:
         if self.runtime.sched is not None:
             self.wake()
 
-    # -- event-kernel work set ----------------------------------------------
+    # -- compiled-kernel work set -------------------------------------------
     def wake(self) -> None:
         """Give this block work (an enqueue, a parked instance's child
         response) under the visibility rule: this cycle if its slot is
@@ -755,7 +738,7 @@ class TaskBlockSim:
                 self.runtime.stats.parked += 1
         return active_cycle
 
-    # -- event kernel ------------------------------------------------------
+    # -- compiled kernel ---------------------------------------------------
     def _unpark(self, inst: DataflowInstance, now: int) -> None:
         inst.idle_cycles = 0
         inst._ready = inst._all
@@ -769,7 +752,7 @@ class TaskBlockSim:
                             inst.park_cycle)
 
     def tick_event(self, now: int) -> bool:
-        """Event-kernel cycle of a block with work: same phases as
+        """Compiled-kernel cycle of a block with work: same phases as
         :meth:`tick`, but the parked list is scanned only when one of
         its instances has a child response or a due retry, and only
         instances with a pending wake are swept."""
@@ -903,13 +886,13 @@ class SimRuntime:
         self.memory = memory_system
         self.stats = stats
         self.params = params
-        #: Event scheduler (None selects the dense kernel).
+        #: Wakeup scheduler (None selects the dense kernel).
         self.sched = sched
         self.observer = observer
         #: Fault injector of the run (None = fault-free).
         self.faults = faults
         #: ``{task name: CompiledTask}`` from :func:`repro.sim.compile.
-        #: compile_circuit` (None = each node's reference ``tick``).
+        #: compile_circuit` (None under the dense kernel).
         self.compiled = compiled
         #: BatchContext when this run steps N lanes at once (payload
         #: values are lane vectors; binders select lane-aware
@@ -920,15 +903,15 @@ class SimRuntime:
         self.now = 0
         self._enq_seq = 0
         #: Instance pooling (DESIGN.md section 8): fault-free scalar
-        #: compiled runs only.  The event/dense reference kernels
-        #: always construct fresh instances.
-        self.pooling = (compiled is not None and sched is not None
-                        and faults is None and batch is None)
+        #: compiled runs only.  The dense kernel always constructs
+        #: fresh instances.
+        self.pooling = (compiled is not None and faults is None
+                        and batch is None)
         self.blocks: Dict[str, TaskBlockSim] = {
             name: TaskBlockSim(task, self, i)
             for i, (name, task) in enumerate(circuit.tasks.items())}
         self.block_list = list(self.blocks.values())
-        #: Event kernel's block work sets (bit i = ``block_list[i]``):
+        #: Compiled kernel's block work sets (bit i = ``block_list[i]``):
         #: this cycle's and the next's.
         self._bready = 0
         self._bnext = 0
@@ -941,7 +924,7 @@ class SimRuntime:
             depth = edge.queue_depth if not edge.decoupled else \
                 max(edge.queue_depth, params.decoupled_queue_depth)
             self.edge_depth[(edge.parent, edge.child)] = depth
-        #: Event kernel: call/spawn sims blocked per task edge.
+        #: Compiled kernel: call/spawn sims blocked per task edge.
         self.edge_waiters: Dict[tuple, List] = {}
         #: Per-task static wiring and attribution sites of this run;
         #: every label is built here, before the first cycle.

@@ -187,7 +187,7 @@ class ConformanceFuzzer:
 
     def __init__(self, pass_spec: str = "", differential: bool = False,
                  artifacts_dir: Optional[str] = None,
-                 kernel: str = "event",
+                 kernel: str = SimParams.kernel,
                  compare_kernel: Optional[str] = None,
                  max_cycles: int = 2_000_000,
                  wallclock_timeout: Optional[float] = None,
@@ -485,12 +485,12 @@ def replay_bundle(path: str, kernel: Optional[str] = None,
                   max_cycles: int = 2_000_000) -> CaseResult:
     """Re-run the case captured in a repro bundle directory, on the
     kernel it was found on unless ``kernel`` overrides it (bundles
-    that predate the ``kernel`` field ran on ``event``)."""
+    without a ``kernel`` field replay on the default kernel)."""
     from .artifacts import load_bundle
     manifest = load_bundle(path)
     fuzzer = ConformanceFuzzer(
         pass_spec=manifest.get("passes", ""),
-        kernel=kernel or manifest.get("kernel", "event"),
+        kernel=kernel or manifest.get("kernel", SimParams.kernel),
         compare_kernel=manifest.get("compare_kernel"),
         max_cycles=max_cycles, minimize=False)
     return fuzzer.run_case(manifest["workload"], manifest["plan"],

@@ -16,12 +16,12 @@ def _baseline(tmp_path, **over):
     doc = {
         "schema": "repro.bench_sim_throughput/v2",
         "config": "allopts",
-        "kernels": ["dense", "event"],
+        "kernels": ["dense", "compiled"],
         "rows": [{"workload": "saxpy", "cycles": 3080,
-                  "event_over_dense": 1.5},
+                  "compiled_over_dense": 1.5},
                  {"workload": "stencil", "cycles": 261,
-                  "event_over_dense": 1.4}],
-        "geomean": {"event_over_dense": 1.45},
+                  "compiled_over_dense": 1.4}],
+        "geomean": {"compiled_over_dense": 1.45},
     }
     doc.update(over)
     path = tmp_path / "baseline.json"
@@ -40,7 +40,7 @@ class TestCheckThroughput:
         assert row["workload"] == "saxpy" and row["cycles"] == 3080
         # the committed geomean is computed over the *selected* rows
         # (saxpy's own 1.5), not the whole suite's 1.45
-        assert doc["committed_geomean"]["event_over_dense"] == 1.5
+        assert doc["committed_geomean"]["compiled_over_dense"] == 1.5
 
     def test_unknown_workload_raises(self, tmp_path):
         with pytest.raises(ReproError, match="not in the committed"):

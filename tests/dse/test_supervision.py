@@ -142,7 +142,7 @@ class TestRetryClassification:
 def _payload(passes: str) -> dict:
     """A one-point worker payload for saxpy under ``passes``."""
     request = EvaluationRequest(workload="saxpy", passes=passes,
-                                sim={"kernel": "event"})
+                                sim={"kernel": "dense"})
     return {"index": 0, "request": request.to_json(),
             "cache_root": None}
 

@@ -44,7 +44,7 @@ func main(n: i32) -> i32 {
 class TestRequestRoundTrip:
     def test_workload_request_round_trips(self):
         req = EvaluationRequest(workload="fib", passes="localize",
-                                sim={"kernel": "event"}, name="fib-t")
+                                sim={"kernel": "dense"}, name="fib-t")
         doc = req.to_json()
         assert doc["schema"] == EVAL_SCHEMA
         assert doc["kind"] == "evaluate"
@@ -85,7 +85,7 @@ class TestRequestValidation:
 
     def test_all_declared_sim_fields_accepted(self):
         sim = {name: None for name in SIM_FIELDS}
-        sim.update(kernel="event", batch=None)
+        sim.update(kernel="dense", batch=None)
         assert EvaluationRequest(workload="fib", sim=sim)
 
     def test_seeded_batch_lanes_equal_seeded_scalars(self):
@@ -157,7 +157,7 @@ class TestIdentityKeys:
 
     def test_sim_config_splits_the_group(self):
         a = EvaluationRequest(workload="fib",
-                              sim={"kernel": "event"})
+                              sim={"max_cycles": 10_000})
         b = EvaluationRequest(workload="fib",
                               sim={"kernel": "dense"})
         assert a.group_key() != b.group_key()

@@ -1,7 +1,7 @@
 """Batched simulation: lane identity, deopt, and error isolation.
 
 The batched driver's contract is the repo's usual one — per-lane
-results and memory bit-identical to N independent event-kernel runs —
+results and memory bit-identical to N independent dense-kernel runs —
 plus its own machinery: uniform-control vectorization with deopt on
 lane-divergent control, the enforced scalar fallback under fault
 plans, per-lane failure isolation with batch-aware error documents,
@@ -54,7 +54,7 @@ def _lanes_for(name: str, n: int, seed: int = 7):
 
 def _check_identity(name: str, n: int, kernel: str = "compiled",
                     expect_mode: str = "vectorized") -> None:
-    """Batch of N vs N independent event-kernel runs, bit-for-bit."""
+    """Batch of N vs N independent dense-kernel runs, bit-for-bit."""
     w = WORKLOADS[name]
     circuit = translate_module(w.module(), name=f"{name}_batch")
     args = list(w.args_for())
@@ -64,7 +64,7 @@ def _check_identity(name: str, n: int, kernel: str = "compiled",
         ref_mem = w.fresh_memory()
         ref_mem.words[:] = mem.words
         result = simulate(circuit, ref_mem, args,
-                          SimParams(kernel="event"))
+                          SimParams(kernel="dense"))
         refs.append((result.cycles, list(result.results),
                      list(ref_mem.words)))
     batch = simulate_batch(circuit, lanes, [args] * n,
@@ -89,8 +89,9 @@ class TestLaneIdentity:
     def test_batched_matches_independent_runs_slow(self, name):
         _check_identity(name, 4)
 
-    def test_event_kernel_also_batches(self):
-        _check_identity("saxpy", 4, kernel="event")
+    def test_dense_kernel_runs_lanes_sequentially(self):
+        _check_identity("saxpy", 4, kernel="dense",
+                        expect_mode="sequential")
 
     def test_single_lane_goes_sequential(self):
         _check_identity("saxpy", 1, expect_mode="sequential")
@@ -154,7 +155,7 @@ func main(n: i32) {
         refs = []
         for a in args_lanes:
             mem = Memory(module)
-            result = simulate(circuit, mem, a, SimParams(kernel="event"))
+            result = simulate(circuit, mem, a, SimParams(kernel="dense"))
             refs.append((result.cycles, list(mem.words)))
         lanes = [Memory(module) for _ in args_lanes]
         batch = simulate_batch(circuit, lanes, args_lanes,

@@ -57,7 +57,7 @@ class TestPlanPerRun:
 class TestCoverage:
     def test_every_node_kind_has_a_step_compiler(self):
         # Every circuit the simulator accepts compiles, so the
-        # compiled kernel needs no event-kernel fallback.
+        # compiled kernel needs no fallback to the node sims' tick.
         assert set(simcompile._STEP_COMPILERS) == set(SIM_CLASSES)
 
 
@@ -109,11 +109,11 @@ class TestRecycledInstances:
 
         monkeypatch.setattr(DataflowInstance, "recycle", counting)
         runs = {}
-        for kernel in ("dense", "event", "compiled"):
+        for kernel in ("dense", "compiled"):
             mem = self._memory(module)
             res = simulate(circuit, mem, [40], SimParams(kernel=kernel))
             runs[kernel] = (res.cycles, list(res.results), mem.words)
-        assert runs["compiled"] == runs["event"] == runs["dense"]
+        assert runs["compiled"] == runs["dense"]
         assert runs["compiled"][2] == golden.words
         # Only the compiled run pools.  The body, the helper and the
         # helper's loop each run 40 times.

@@ -23,7 +23,7 @@ CAUSES = {"upstream_empty", "downstream_full", "bank_conflict",
           "child_wait", "iter_window", "idle"}
 
 
-def _deadlock(workload="saxpy", kernel="event"):
+def _deadlock(workload="saxpy", kernel="compiled"):
     w = get_workload(workload)
     circuit = translate_module(w.module(), name=workload)
     with pytest.raises(DeadlockError) as exc:
@@ -72,20 +72,20 @@ class TestDiagnosticsStructure:
 
 class TestKernelAgreement:
     def test_both_kernels_diagnose_the_same_deadlock(self):
-        event = _deadlock(kernel="event")
+        compiled = _deadlock(kernel="compiled")
         dense = _deadlock(kernel="dense")
-        assert event.cycle == dense.cycle
+        assert compiled.cycle == dense.cycle
 
         def causes(err):
             return {n["cause"] for entry in err.diagnostics
                     for inst in entry["instances"]
                     for n in inst["blocked_nodes"]}
 
-        # The backpressure pair is diagnosed identically; the event
+        # The backpressure pair is diagnosed identically; the compiled
         # kernel may attribute *extra* causes (finer wake bookkeeping,
         # e.g. the blocked spawn as task_queue_full).
-        assert causes(dense) <= causes(event)
-        assert {"downstream_full", "upstream_empty"} <= causes(event)
+        assert causes(dense) <= causes(compiled)
+        assert {"downstream_full", "upstream_empty"} <= causes(compiled)
 
 
 class TestDeadlockPrecedence:

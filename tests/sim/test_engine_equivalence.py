@@ -1,14 +1,15 @@
 """Kernel equivalence, stall attribution, and stats schema.
 
-The equivalence matrix pins the event-driven and compiled kernels
-against cycle counts, memory digests, and results recorded from the
-seed (dense) engine on every built-in workload, under both the
-baseline and the full optimization stack.  Any wakeup that is dropped
-or delivered in the wrong cycle — or any compiled specialization that
-diverges from the reference step semantics — shows up as a
-cycle-count or memory mismatch here.  A second pin, digests of the
-full stats document and of the trace ring, catches changes that keep
-cycles but move stall attribution or event order in both kernels.
+The equivalence matrix pins the dense and compiled kernels against
+cycle counts, memory digests, and results recorded from the seed
+(dense) engine on every built-in workload, under both the baseline
+and the full optimization stack.  A change to a node sim's reference
+``tick`` shows up on the dense leg; any wakeup the compiled kernel
+drops or delivers in the wrong cycle, or any step closure that
+diverges from ``tick``, shows up on the compiled leg.  A second pin,
+digests of the compiled kernel's full stats document and of its
+trace ring, catches changes that keep cycles but move stall
+attribution or event order.
 """
 
 import hashlib
@@ -30,10 +31,10 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "seed_cycles.json")
 with open(GOLDEN_PATH) as _fh:
     GOLDEN = json.load(_fh)
-#: Per golden case: digests of the stats document and the trace ring
-#: (see :func:`stats_digests`), recorded before the scheduler's wake
-#: sets became bitmasks, so any change to stall attribution or event
-#: order in either kernel shows up here.
+#: Per golden case: digests of the compiled kernel's stats document and
+#: trace ring (see :func:`stats_digests`), recorded before the
+#: scheduler's wake sets became bitmasks, so any change to stall
+#: attribution or event order shows up here.
 DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden",
                             "stats_digests.json")
 with open(DIGESTS_PATH) as _fh:
@@ -56,7 +57,7 @@ def _mem_digest(mem) -> str:
     return h.hexdigest()[:16]
 
 
-def _run_config(name: str, config: str, kernel: str = "event",
+def _run_config(name: str, config: str, kernel: str = "compiled",
                 observe: str = "counters"):
     w = WORKLOADS[name]
     passes = [] if config == "baseline" else all_opts_for(name)
@@ -73,12 +74,12 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def stats_digests(name: str, config: str, kernel: str) -> dict:
-    """Digests of one traced run: the full ``SimStats`` document minus
-    its ``kernel`` label, and the trace ring in emit order (plus its
-    drop count).  The stats document of a traced run equals the one
-    of a ``counters`` run, so one run pins both."""
-    result, _ = _run_config(name, config, kernel=kernel, observe="trace")
+def stats_digests(name: str, config: str) -> dict:
+    """Digests of one traced compiled run: the full ``SimStats``
+    document minus its ``kernel`` label, and the trace ring in emit
+    order (plus its drop count).  The stats document of a traced run
+    equals the one of a ``counters`` run, so one run pins both."""
+    result, _ = _run_config(name, config, observe="trace")
     doc = result.stats.to_json()
     doc.pop("kernel")
     ring = [list(rec) for rec in result.observer.ring]
@@ -86,15 +87,15 @@ def stats_digests(name: str, config: str, kernel: str) -> dict:
             "trace": _digest([ring, result.observer.dropped])}
 
 
-def _document(name: str, config: str, kernel: str, observe: str) -> str:
-    """The stats document of one run as ``json.dumps`` writes it,
-    unsorted, so key order counts."""
-    result, _ = _run_config(name, config, kernel=kernel, observe=observe)
+def _document(name: str, config: str, observe: str) -> str:
+    """The stats document of one compiled run as ``json.dumps`` writes
+    it, unsorted, so key order counts."""
+    result, _ = _run_config(name, config, observe=observe)
     return json.dumps(result.stats.to_json())
 
 
 class TestEventKernelEquivalence:
-    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    @pytest.mark.parametrize("kernel", ["dense", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
     @pytest.mark.parametrize("name", FAST_MATRIX)
     def test_matches_seed_golden(self, name, config, kernel):
@@ -109,7 +110,7 @@ class TestEventKernelEquivalence:
 
     @pytest.mark.slow
     @full_matrix
-    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    @pytest.mark.parametrize("kernel", ["dense", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
     @pytest.mark.parametrize("name", SLOW_MATRIX)
     def test_matches_seed_golden_slow(self, name, config, kernel):
@@ -119,63 +120,37 @@ class TestEventKernelEquivalence:
         assert _mem_digest(mem) == golden["mem"]
         assert list(result.results) == golden["results"]
 
-    @pytest.mark.parametrize("kernel", ["event", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
     @pytest.mark.parametrize("name", FAST_MATRIX)
-    def test_stats_and_trace_match_digests(self, name, config, kernel):
+    def test_stats_and_trace_match_digests(self, name, config):
         key = f"{name}/{config}"
-        assert stats_digests(name, config, kernel) == DIGESTS[key], (
-            f"{key}: {kernel} kernel stats document or trace diverged")
+        assert stats_digests(name, config) == DIGESTS[key], (
+            f"{key}: stats document or trace diverged")
 
     @pytest.mark.slow
     @full_matrix
-    @pytest.mark.parametrize("kernel", ["event", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
     @pytest.mark.parametrize("name", SLOW_MATRIX)
-    def test_stats_and_trace_match_digests_slow(self, name, config,
-                                                kernel):
+    def test_stats_and_trace_match_digests_slow(self, name, config):
         key = f"{name}/{config}"
-        assert stats_digests(name, config, kernel) == DIGESTS[key]
+        assert stats_digests(name, config) == DIGESTS[key]
 
-    @pytest.mark.parametrize("kernel", ["event", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
     @pytest.mark.parametrize("name", FAST_MATRIX)
-    def test_counters_document_equals_traced(self, name, config, kernel):
+    def test_counters_document_equals_traced(self, name, config):
         # The default observe="counters" document is byte-identical to
         # the traced one, whose digest is pinned above: key order too,
         # which orders ties in top_stalled_nodes and repro report.
-        assert _document(name, config, kernel, "counters") == \
-            _document(name, config, kernel, "trace")
+        assert _document(name, config, "counters") == \
+            _document(name, config, "trace")
 
     @pytest.mark.slow
     @full_matrix
-    @pytest.mark.parametrize("kernel", ["event", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
     @pytest.mark.parametrize("name", SLOW_MATRIX)
-    def test_counters_document_equals_traced_slow(self, name, config,
-                                                  kernel):
-        assert _document(name, config, kernel, "counters") == \
-            _document(name, config, kernel, "trace")
-
-    @pytest.mark.parametrize("name", ["saxpy", "fib"])
-    def test_compiled_stats_identical_to_event(self, name):
-        # Bit identity extends to the observability layer: every
-        # counter the event kernel produces, the compiled kernel must
-        # reproduce exactly (only the kernel label may differ).
-        ev, _ = _run_config(name, "allopts", kernel="event")
-        co, _ = _run_config(name, "allopts", kernel="compiled")
-        ev_doc = ev.stats.to_json()
-        co_doc = co.stats.to_json()
-        assert ev_doc.pop("kernel") == "event"
-        assert co_doc.pop("kernel") == "compiled"
-        assert ev_doc == co_doc
-
-    def test_dense_kernel_still_matches(self):
-        # The dense path must stay a faithful oracle.
-        golden = GOLDEN["saxpy/baseline"]
-        result, mem = _run_config("saxpy", "baseline", kernel="dense")
-        assert result.cycles == golden["cycles"]
-        assert _mem_digest(mem) == golden["mem"]
+    def test_counters_document_equals_traced_slow(self, name, config):
+        assert _document(name, config, "counters") == \
+            _document(name, config, "trace")
 
     def test_golden_covers_every_workload(self):
         for name in WORKLOADS:
@@ -261,7 +236,7 @@ class TestStatsJsonSchema:
         result, _ = _run_config("saxpy", "baseline")
         doc = result.stats.to_json()
         assert doc["schema"] == STATS_SCHEMA
-        assert doc["kernel"] == "event"
+        assert doc["kernel"] == "compiled"
         assert doc["cycles"] == result.cycles
         for key in ("stall_cycles", "node_stalls", "site_stalls",
                     "memory_reads", "memory_writes",
@@ -275,15 +250,14 @@ class TestStatsJsonSchema:
     def test_json_round_trip_is_plain_data(self):
         result, _ = _run_config("fib", "baseline")
         doc = json.loads(json.dumps(result.stats.to_json()))
-        assert doc["kernel"] == "event"
+        assert doc["kernel"] == "compiled"
         assert isinstance(doc["stall_cycles"], dict)
         assert isinstance(doc["node_stalls"], dict)
 
 
 if __name__ == "__main__":
-    # Re-record golden/stats_digests.json (event kernel; the compiled
-    # kernel must agree, which the digest tests check).
-    digests = {key: stats_digests(*key.split("/"), kernel="event")
+    # Re-record golden/stats_digests.json from the compiled kernel.
+    digests = {key: stats_digests(*key.split("/"))
                for key in sorted(GOLDEN)}
     with open(DIGESTS_PATH, "w") as _fh:
         json.dump(digests, _fh, indent=1, sort_keys=True)

@@ -185,7 +185,7 @@ class TestMaxCyclesBoundary:
     """The historical ``now > max_cycles`` allowed one extra cycle;
     both kernels must now stop at exactly ``max_cycles``."""
 
-    @pytest.mark.parametrize("kernel", ["event", "dense"])
+    @pytest.mark.parametrize("kernel", ["compiled", "dense"])
     def test_raises_at_exact_bound(self, kernel):
         with pytest.raises(SimulationTimeout) as exc:
             _sim("gemm", kernel=kernel, max_cycles=100)
@@ -195,16 +195,16 @@ class TestMaxCyclesBoundary:
 
     def test_both_kernels_raise_identically(self):
         cycles = set()
-        for kernel in ("event", "dense"):
+        for kernel in ("compiled", "dense"):
             with pytest.raises(SimulationTimeout) as exc:
                 _sim("gemm", kernel=kernel, max_cycles=257)
             cycles.add(exc.value.cycle)
         assert cycles == {257}
 
     def test_completing_run_unaffected(self):
-        result = _sim("fib", kernel="event")
+        result = _sim("fib", kernel="compiled")
         # A bound of exactly the completion cycle count must not trip.
-        again = _sim("fib", kernel="event",
+        again = _sim("fib", kernel="compiled",
                      max_cycles=result.cycles)
         assert again.cycles == result.cycles
 
@@ -229,14 +229,14 @@ class TestWatchdog:
 
 
 class TestKernelEquivalenceUnderFaults:
-    """Bit-identical event/dense equivalence extends to faulted runs —
+    """Bit-identical compiled/dense equivalence extends to faulted runs —
     same cycles, same results, same memory."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_gemm(self, seed):
         plan = FaultPlan.generate(seed)
         outcomes = []
-        for kernel in ("event", "dense"):
+        for kernel in ("compiled", "dense"):
             w = get_workload("gemm")
             circuit = translate_module(w.module(), name="gemm")
             mem = w.fresh_memory()

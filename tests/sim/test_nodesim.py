@@ -15,8 +15,33 @@ from repro.core.nodes import (
     StoreNode,
 )
 from repro.core.structures import Scratchpad
+from repro.frontend import compile_minic, translate_module
+from repro.frontend.interp import Interpreter, Memory
 from repro.sim import SimParams, simulate
 from repro.types import BOOL, F32, I32
+
+#: Programs whose translation serializes work, because each iteration
+#: or call reads what the previous one wrote: (source, array seeded,
+#: root argument, cycles).  The accumulator's loop keeps one iteration
+#: in flight; the stage loop's call to its in-place child loop keeps
+#: one invocation outstanding.
+SERIALIZED = {
+    "accumulator": ("""
+array a: i32[16];
+array x: i32[16];
+func main(n: i32) {
+  for (i = 0; i < n; i = i + 1) { a[0] = a[0] + x[i]; }
+}
+""", "x", 16, 399),
+    "in_place_stages": ("""
+array a: i32[16];
+func main(n: i32) {
+  for (s = 0; s < n; s = s + 1) {
+    for (k = 0; k < 16; k = k + 1) { a[k] = a[(k + 1) & 15] + s; }
+  }
+}
+""", "a", 4, 423),
+}
 
 
 class _Mem:
@@ -179,6 +204,26 @@ class TestLoopMachinery:
     def test_iteration_stats(self):
         result = run(self._sum_loop(), [10])
         assert result.stats.iterations["main"] == 10
+
+    @pytest.mark.parametrize("kernel", ["compiled", "dense"])
+    @pytest.mark.parametrize("case", sorted(SERIALIZED))
+    def test_serialized_work_stays_serial(self, case, kernel):
+        source, array, n, cycles = SERIALIZED[case]
+        module = compile_minic(source)
+        circuit = translate_module(module)
+        nodes = [nd for t in circuit.tasks.values()
+                 for nd in t.dataflow.nodes]
+        assert any((nd.kind == "loopctl" and nd.max_in_flight == 1) or
+                   (nd.kind == "call" and nd.serialize) for nd in nodes)
+        values = [(i * 7 + 3) % 23 - 11 for i in range(16)]
+        golden = Memory(module)
+        golden.set_array(array, values)
+        Interpreter(module, golden).run(n)
+        mem = Memory(module)
+        mem.set_array(array, values)
+        result = simulate(circuit, mem, [n], SimParams(kernel=kernel))
+        assert mem.words == golden.words
+        assert result.cycles == cycles
 
 
 class TestMemoryNodes:

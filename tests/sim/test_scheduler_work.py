@@ -21,7 +21,6 @@ from repro.frontend.interp import Memory
 from repro.opt.pass_manager import PassManager
 from repro.sim import SimParams, simulate
 from repro.sim.compile import CompiledTask
-from repro.sim.nodesim import NodeSim
 from repro.sim.observe import Observability
 from repro.sim.task import DataflowInstance, SimRuntime, TaskBlockSim
 from repro.workloads import WORKLOADS
@@ -72,7 +71,6 @@ def work(monkeypatch):
     count(DataflowInstance, "__init__", "builds")
     count(DataflowInstance, "recycle", "recycles")
     count(CompiledTask, "bind", "binds")
-    count(NodeSim, "step", "node_steps")
     count(SourceLoc, "label", "labels")
 
     def setup_done():
@@ -93,10 +91,9 @@ class TestWorkCounts:
         assert (work["visits"], work["sweeps"], work["classified"]) == \
             (visits, sweeps, classified)
         assert work["runtimes"] == 1
-        # Recycled instances keep their steps, and every task runs
-        # compiled steps: no event-kernel node step.
-        assert (work["builds"], work["recycles"], work["binds"],
-                work["node_steps"]) == (builds, recycles, builds, 0)
+        # Recycled instances keep their steps.
+        assert (work["builds"], work["recycles"], work["binds"]) == \
+            (builds, recycles, builds)
 
     @pytest.mark.parametrize("name", ["gemm", "saxpy"])
     def test_labels_are_built_before_the_first_cycle(self, name, work):
@@ -163,7 +160,8 @@ TIMEOUT_STALLS = {
 
 
 class TestFailedRunAttribution:
-    @pytest.mark.parametrize("kernel", ["event", "compiled"])
+    # Only the compiled kernel attributes stalls.
+    @pytest.mark.parametrize("kernel", ["compiled"])
     @pytest.mark.parametrize("name", sorted(TIMEOUT_STALLS))
     def test_timeout_ships_its_stall_sections(self, name, kernel):
         w, circuit = _allopts(name)
@@ -202,7 +200,7 @@ class TestParkedRetry:
     def test_retry_time_matches_dense(self, trips, cycles, parked):
         module = compile_minic(RETRY_SRC % trips)
         circuit = translate_module(module)
-        for kernel in ("dense", "event", "compiled"):
+        for kernel in ("dense", "compiled"):
             result = simulate(circuit, Memory(module), [24],
                               SimParams(kernel=kernel))
             assert (result.cycles, result.stats.parked) == \

@@ -177,10 +177,10 @@ class TestBenchCheck:
         doc = {
             "schema": "repro.bench_sim_throughput/v2",
             "config": "allopts",
-            "kernels": ["dense", "event"],
+            "kernels": ["dense", "compiled"],
             "rows": [{"workload": "saxpy", "cycles": cycles,
-                      "event_over_dense": 1.5}],
-            "geomean": {"event_over_dense": 1.5},
+                      "compiled_over_dense": 1.5}],
+            "geomean": {"compiled_over_dense": 1.5},
         }
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(doc))

@@ -13,7 +13,7 @@ from repro import (
     translate_module,
 )
 from repro.api import EvaluationRequest, execute, run_request
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.frontend.interp import Memory
 from repro.opt import parse_passes
 from repro.workloads import get_workload
@@ -175,16 +175,36 @@ class TestEvaluateConvenience:
 class TestDefaultKernel:
     @pytest.mark.parametrize("workload,passes", [
         ("fib", ""), ("saxpy", "localize,banking=4,fusion,tuning")])
-    def test_default_is_compiled_and_matches_event(self, workload,
+    def test_default_is_compiled_and_matches_dense(self, workload,
                                                    passes):
         default = EvaluationRequest(workload=workload, passes=passes)
-        event = EvaluationRequest(workload=workload, passes=passes,
-                                  sim={"kernel": "event"})
-        a, b = execute(default), execute(event)
+        dense = EvaluationRequest(workload=workload, passes=passes,
+                                  sim={"kernel": "dense"})
+        a, b = execute(default), execute(dense)
         assert a.ok and b.ok
         assert a.evaluation == b.evaluation
         doc_a = run_request(default)[1].stats.to_json()
-        doc_b = run_request(event)[1].stats.to_json()
+        doc_b = run_request(dense)[1].stats.to_json()
         assert doc_a.pop("kernel") == "compiled"
-        assert doc_b.pop("kernel") == "event"
+        assert doc_b.pop("kernel") == "dense"
+        # Only the compiled kernel attributes stalls.
+        for key in ("stall_cycles", "node_stalls", "source_stalls"):
+            assert doc_a.pop(key) and not doc_b.pop(key)
         assert doc_a == doc_b
+
+    def test_event_kernel_is_refused(self):
+        # The event kernel is gone and nothing maps its name to
+        # another kernel: SimParams and requests naming it fail with
+        # the unknown-kernel error.
+        w = get_workload("fib")
+        circuit = translate_module(w.module())
+        with pytest.raises(SimulationError,
+                           match="unknown simulation kernel 'event'"):
+            simulate(circuit, w.fresh_memory(), list(w.args_for()),
+                     SimParams(kernel="event"))
+        resp = execute(EvaluationRequest(workload="fib",
+                                         sim={"kernel": "event"}))
+        assert not resp.ok
+        assert resp.error["error"] == "SimulationError"
+        assert "unknown simulation kernel 'event'" in \
+            resp.error["message"]

@@ -143,6 +143,16 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "invalid choice: 'trace'" in capsys.readouterr().err
 
+    def test_removed_event_kernel_is_a_usage_error(self, src_file,
+                                                   capsys):
+        # kernel="event" was removed too: compiled simulates, dense
+        # checks, and nothing stands in for the old name.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", src_file, "--args", "16", "2.0",
+                  "--kernel", "event"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'event'" in capsys.readouterr().err
+
     def test_compiled_kernel_supports_trace_out(self, src_file,
                                                 tmp_path, capsys):
         tracep = str(tmp_path / "trace.json")

@@ -1,6 +1,6 @@
 """Property-based batch equivalence: for random per-lane inputs and
 random batch sizes 1-16, the batched driver's per-lane results and
-memory are bit-identical to sequential event-kernel runs.
+memory are bit-identical to sequential dense-kernel runs.
 
 Parametrized over the four bench workloads (gemm / fft / saxpy /
 stencil — the ones the CI throughput gates run on).  Inputs vary
@@ -58,7 +58,7 @@ def test_batched_matches_sequential(name, batch, seed):
         ref_mem = w.fresh_memory()
         ref_mem.words[:] = mem.words
         result = simulate(circuit, ref_mem, args,
-                          SimParams(kernel="event", validate=False))
+                          SimParams(kernel="dense", validate=False))
         refs.append((result.cycles, list(result.results),
                      list(ref_mem.words)))
     result = simulate_batch(circuit, lanes, [args] * batch,

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import exit_code_for
+from repro.sim import SimParams
 from repro.sim.faults import FaultPlan
 from repro.verify import (ConformanceFuzzer, load_bundle,
                           replay_bundle)
@@ -98,24 +99,53 @@ def kernels_run(monkeypatch):
     return kernels
 
 
+def _bundle(tmp_path, **fields):
+    """A fault-mode fib bundle under a benign plan, ``fields`` over."""
+    args = dict(workload="fib", variant="base", pass_spec="",
+                mode="fault", kernel="dense", plan=FaultPlan(seed=1))
+    args.update(fields)
+    return write_bundle(str(tmp_path), "case", **args)
+
+
 class TestReplayKernel:
-    def test_cli_replay_runs_the_recorded_kernel(self, failing_case,
+    def test_cli_replay_runs_the_recorded_kernel(self, tmp_path,
                                                  kernels_run, capsys):
-        # Found on the event kernel: a replay without --kernel must
-        # not move to the CLI default.
-        assert load_bundle(failing_case.bundle)["kernel"] == "event"
-        assert main(["fuzz", "--replay", failing_case.bundle]) == 4
-        assert set(kernels_run) == {"event"}
+        # Found on dense: a replay without --kernel must not move to
+        # the CLI default.
+        bundle = _bundle(tmp_path, workload="saxpy", plan=FREEZE)
+        assert load_bundle(bundle)["kernel"] == "dense"
+        assert main(["fuzz", "--replay", bundle]) == 4
+        assert set(kernels_run) == {"dense"}
 
     def test_kernel_mode_replay_compares_the_recorded_kernels(
             self, tmp_path, kernels_run):
-        bundle = write_bundle(str(tmp_path), "case", workload="fib",
-                              variant="base", pass_spec="",
-                              mode="kernel", kernel="event",
-                              compare_kernel="compiled",
-                              plan=FaultPlan(seed=1))
+        bundle = _bundle(tmp_path, mode="kernel", kernel="dense",
+                         compare_kernel="compiled")
         assert replay_bundle(bundle).ok
-        assert set(kernels_run) == {"event", "compiled"}
+        assert set(kernels_run) == {"dense", "compiled"}
+
+    def test_bundle_without_kernel_replays_on_the_default(
+            self, tmp_path, kernels_run):
+        bundle = _bundle(tmp_path)
+        path = os.path.join(bundle, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        del manifest["kernel"]
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        assert replay_bundle(bundle).ok
+        assert set(kernels_run) == {SimParams.kernel}
+
+    def test_bundle_naming_the_event_kernel_is_refused(
+            self, tmp_path, kernels_run, capsys):
+        # The event kernel is gone; nothing maps its name to another.
+        bundle = _bundle(tmp_path, kernel="event")
+        case = replay_bundle(bundle)
+        assert not case.ok
+        assert case.error == "SimulationError"
+        assert "unknown simulation kernel 'event'" in case.message
+        assert set(kernels_run) == {"event"}
+        assert main(["fuzz", "--replay", bundle]) == 6
 
 
 class TestReproducibility:

@@ -1,12 +1,14 @@
-"""Kernel differential conformance: compiled vs event and dense, bit
-for bit.
+"""Kernel differential conformance: compiled vs dense, bit for bit.
 
-The compiled kernel claims *bit identity* with the event and dense
-kernels — same cycle count, same results, same memory image —
-fault-free and under any fault plan.  That claim is checked here
-through the ConformanceFuzzer's "kernel" mode, which is stricter than
-the LI invariant (cycles must match too, since the kernels execute
-the same schedule).
+The compiled kernel claims *bit identity* with the dense kernel —
+same cycle count, same results, same memory image — fault-free and
+under any fault plan.  That claim is checked here through the
+ConformanceFuzzer's "kernel" mode, which is stricter than the LI
+invariant (cycles must match too, since the kernels execute the same
+schedule).  The compiled kernel holds all the wake plumbing (the
+scheduler, the instance sweep and its commit) and the dense sweep
+none of it, so the two are independent implementations of every
+cycle.
 
 The default run covers a fast representative subset (dataflow loop /
 recursion / tensor / parallel_for) under 3 seeded plans each; set
@@ -37,10 +39,11 @@ PLANS = [FaultPlan.generate(derive_seed(20260807, "plan", i))
 
 @pytest.fixture(scope="module")
 def fuzzer():
-    """Shared across cases: circuits and fault-free event baselines
-    are built once per (workload, spec)."""
+    """Shared across cases: circuits and fault-free compiled baselines
+    are built once per (workload, spec); every case also runs on
+    dense."""
     return ConformanceFuzzer(pass_spec=DEFAULT_FUZZ_PASSES,
-                             compare_kernel="compiled")
+                             kernel="compiled", compare_kernel="dense")
 
 
 @pytest.mark.parametrize("workload", FAST_SUBSET)
@@ -56,24 +59,6 @@ def test_kernel_identity_under_faults(fuzzer, workload):
         case = fuzzer.run_case(workload, plan, mode="kernel")
         assert case.ok, f"{case.case_id}: {case.message}"
         assert case.cycles_ref == case.cycles_run
-
-
-@pytest.fixture(scope="module")
-def dense_fuzzer():
-    """The dense sweep under test, compiled compared against it."""
-    return ConformanceFuzzer(pass_spec=DEFAULT_FUZZ_PASSES,
-                             kernel="dense", compare_kernel="compiled")
-
-
-@pytest.mark.parametrize("workload", ["saxpy", "fib"])
-def test_dense_kernel_identity(dense_fuzzer, workload):
-    # Event and compiled share the scheduler, the instance sweep and
-    # its commit, so only the wake-free dense sweep checks those
-    # independently.
-    for plan in [None] + PLANS:
-        case = dense_fuzzer.run_case(workload, plan, mode="kernel")
-        assert case.ok, f"{case.case_id}: {case.message}"
-        assert case.cycles_ref == case.cycles_run > 0
 
 
 def test_fuzz_loop_emits_kernel_cases(fuzzer):
