@@ -92,22 +92,29 @@ class Channel:
 class EventChannel(Channel):
     """A :class:`Channel` that reports events to the compiled kernel.
 
-    Two hooks implement the latency-insensitive protocol's wake
+    Three hooks implement the latency-insensitive protocol's wake
     conditions without any polling:
 
     * ``push`` marks the channel *dirty* on its owning instance so
       the end-of-cycle commit only walks channels that can move
       (token-arrival wakes for the consumer are issued by the
       instance when the commit actually lands tokens in ``queue``);
-    * ``pop`` is a credit return — the producer node may now have
-      space, so it is woken under the dense engine's visibility rule
-      (same cycle if its sweep slot is still ahead, else next cycle).
+    * ``can_push`` records a refusal: the producer now holds a value
+      for this edge (in a fork buffer or a source's owed list) and
+      waits for space;
+    * ``pop`` is a credit return.  It wakes the producer only if the
+      channel refused it a push since the last such wake — a producer
+      that was never refused is not waiting on this edge, so the
+      space changes none of its guards.  The wake follows the dense
+      engine's visibility rule (same cycle if the producer's sweep
+      slot is still ahead, else next cycle).
 
     ``owner``/``producer_idx``/``consumer_idx`` are wired by
     :class:`repro.sim.task.DataflowInstance` at instance start.
     """
 
-    __slots__ = ("owner", "producer_idx", "consumer_idx", "dirty")
+    __slots__ = ("owner", "producer_idx", "consumer_idx", "dirty",
+                 "refused")
 
     def __init__(self, capacity: int = 2, stages: int = 1):
         super().__init__(capacity, stages)
@@ -115,6 +122,13 @@ class EventChannel(Channel):
         self.producer_idx = -1
         self.consumer_idx = -1
         self.dirty = False
+        self.refused = False
+
+    def can_push(self) -> bool:
+        if self.occ < self.capacity:
+            return True
+        self.refused = True
+        return False
 
     def push(self, value) -> None:
         self.staged.append(value)
@@ -125,7 +139,9 @@ class EventChannel(Channel):
 
     def pop(self):
         self.occ -= 1
-        self.owner.wake_node(self.producer_idx)
+        if self.refused:
+            self.refused = False
+            self.owner.wake_node(self.producer_idx)
         return self.queue.popleft()
 
     def clear(self) -> None:
@@ -134,6 +150,7 @@ class EventChannel(Channel):
         # owner skip re-registering the channel for commit.
         super().clear()
         self.dirty = False
+        self.refused = False
 
 
 class LatchedChannel:

@@ -28,12 +28,17 @@ scheduler bookkeeping ``tick`` does not carry (the dense kernel steps
 the sweep cursor, drain pending forks, arm a timer for every
 ``now``-dependent guard (``instance.schedule_node``), wake the nodes
 an action may unblock (``wake_node``, ``on_sink_progress``,
-``on_loop_finished``, the enqueue-blocked notes), and rearm a node
-that acted.  The compiled kernel is therefore bit-identical to the
-dense kernel by the superset-sweep argument (a step is a strict
-no-op when its guards fail) as long as its wakes miss no acting
-node.  All per-invocation state stays on the sim object, where
-outside observers (stall classification, deadlock
+``on_loop_finished``, the enqueue-blocked notes), note a loop
+control that waits on its in-flight window (``_window_wait``), and
+rearm a node that acted and may act again with no further event
+(:func:`_rearm_locals`).  A node steps only when an event can change
+one of its guards, except on an instance's first sweep (every node)
+and on a token arrival, which wakes the consumer even while a
+sibling input is still empty.  The compiled kernel is bit-identical
+to the dense kernel by the superset-sweep argument (a step is a
+strict no-op when its guards fail) as long as its wakes miss no
+acting node.  All per-invocation state stays on the sim object,
+where outside observers (stall classification, deadlock
 diagnostics, completion gating) and ``reset`` reach it: ``records``,
 ``sink_count``, ``started``/``finished``/``issued``, a compute unit's
 ``next_fire``, a source's owed channels and value.  A closure
@@ -117,8 +122,8 @@ def _rearm_locals(sim):
 
     A node that acted may act again next cycle, when the dense sweep
     would look at it again, so every step sets the sweep cursor first
-    and then, on any path that acted (``_act`` changed), wakes the
-    node for next cycle:
+    and then, on a path that acted (``_act`` changed) and may act
+    again without another event, wakes the node for next cycle:
 
         inst._next |= bit
 
@@ -128,13 +133,17 @@ def _rearm_locals(sim):
     stamps ``_next`` with the current cycle before the first step, so
     the tail needs no promote check.
 
-    Function units (compute/tensor/fused) never self-rearm — their
-    steps only set the cursor.  After a fire the only un-signalled way
-    for them to act next cycle is an immediate back-to-back fire
-    (interval 1, pipe space, inputs still ready), which the step wakes
-    explicitly.  Everything else is covered: token arrivals by the
-    commit wake, blocked retires and forks by the consumer's credit
-    return, future retires and initiation gaps by per-fire timers."""
+    Wakes cover every other way a node can act next cycle: token
+    arrivals by the commit wake, blocked forks and sources by the
+    consumer's ``pop`` on the channel that refused them, future
+    retires and initiation gaps by timers, memory completions by the
+    request's callback, a loop control at its in-flight window by the
+    sinks' progress.  So function units (compute/tensor/fused) and
+    sources never self-rearm — a function unit's step wakes itself
+    only for an immediate back-to-back fire (interval 1, pipe space,
+    inputs still ready) — and loads and stores rearm only after a
+    fire that leaves their request inputs holding a token and a
+    record slot free."""
     return sim.idx, 1 << sim.idx
 
 
@@ -147,10 +156,12 @@ def _rearm_locals(sim):
 def _bind_source(sim, inst, data):
     """const / livein: one token per (non-latched) consumer edge.  The
     owed channels and the value are per invocation: read from the sim,
-    which ``reset`` re-arms."""
+    which ``reset`` re-arms.  A source never rearms: a channel that
+    refused it a token wakes it on the consumer's ``pop`` (or a stall
+    window's end timer), and one that owes nothing has nothing to do."""
     if not sim._pending:
         return _nop
-    idx, bit = _rearm_locals(sim)
+    idx = sim.idx
 
     def step(now):
         inst._cursor = idx
@@ -159,17 +170,13 @@ def _bind_source(sim, inst, data):
             return
         value = sim.value
         remaining = []
-        acted = False
         for ch in pending:
             if ch.can_push():
                 ch.push(value)
                 inst._act += 1
-                acted = True
             else:
                 remaining.append(ch)
         sim._pending = remaining
-        if acted:
-            inst._next |= bit
 
     return step
 
@@ -884,6 +891,7 @@ def _bind_loopctl(sim, inst, data):
         if now < sim.next_issue:
             return
         if sim.issued - completed() >= max_in_flight:
+            inst._window_wait |= bit
             return
         if not (out_can(index_fork) and out_can(active_fork)):
             return
@@ -907,8 +915,10 @@ def _bind_loopctl(sim, inst, data):
             return
         if cont_ch is None or not cont_tok:
             return
-        if now < sim.next_issue or \
-                sim.issued - completed() >= max_in_flight:
+        if now < sim.next_issue:
+            return
+        if sim.issued - completed() >= max_in_flight:
+            inst._window_wait |= bit
             return
         if not (out_can(index_fork) and out_can(active_fork)):
             return
@@ -1002,59 +1012,60 @@ def _bind_load(sim, inst, data):
 
     def step(now):
         inst._cursor = idx
-        a0 = inst._act
-        try:
-            if out_fork is not None and out_fork.pending:
-                out_fork.drain(inst)
-            if done_fork is not None and done_fork.pending:
-                done_fork.drain(inst)
-            while records and records[0].remaining == 0:
-                if (out_fork is not None and out_fork.pending) or \
-                        (done_fork is not None and done_fork.pending):
-                    break
-                rec = rec_popleft()
-                if rec.poison:
-                    value = poison
-                elif words == 1:
-                    value = rec.words[0]
-                else:
-                    value = lane_pack_words(rec.words)
-                if out_fork is not None:
-                    out_accept(value, inst)
-                inst._act += 1
-                if done_fork is not None:
-                    done_accept(True, inst)
-                inst._act += 1
-                sim.sink_count += 1
-                on_sink()
-            if len(records) >= max_outstanding:
-                return
-            if not qa or (has_pred and not qp) or \
-                    (has_order and not qo):
-                return
-            addr = pa()
-            enabled = bool(pp()) if has_pred else True
-            if has_order:
-                po()
+        if out_fork is not None and out_fork.pending:
+            out_fork.drain(inst)
+        if done_fork is not None and done_fork.pending:
+            done_fork.drain(inst)
+        while records and records[0].remaining == 0:
+            if (out_fork is not None and out_fork.pending) or \
+                    (done_fork is not None and done_fork.pending):
+                break
+            rec = rec_popleft()
+            if rec.poison:
+                value = poison
+            elif words == 1:
+                value = rec.words[0]
+            else:
+                value = lane_pack_words(rec.words)
+            if out_fork is not None:
+                out_accept(value, inst)
             inst._act += 1
-            if not enabled:
-                rec_append(_MemRecord(0, poison=True))
-                wake(idx)
-                return
-            rec = _MemRecord(words)
-            rec_append(rec)
-            stats.memory_reads += words
-            base = int(addr)
-            for w in range(words):
-                def on_done(req, r=rec, i=w):
-                    r.words[i] = req.value
-                    r.remaining -= 1
-                    if r.remaining == 0:
-                        wake(idx)
-                submit(MemRequest(base + w, False, on_done=on_done))
-        finally:
-            if inst._act != a0:
-                inst._next |= bit
+            if done_fork is not None:
+                done_accept(True, inst)
+            inst._act += 1
+            sim.sink_count += 1
+            on_sink()
+        if len(records) >= max_outstanding:
+            return
+        if not qa or (has_pred and not qp) or \
+                (has_order and not qo):
+            return
+        addr = pa()
+        enabled = bool(pp()) if has_pred else True
+        if has_order:
+            po()
+        inst._act += 1
+        if not enabled:
+            rec_append(_MemRecord(0, poison=True))
+            wake(idx)
+            return
+        rec = _MemRecord(words)
+        rec_append(rec)
+        stats.memory_reads += words
+        base = int(addr)
+        for w in range(words):
+            def on_done(req, r=rec, i=w):
+                r.words[i] = req.value
+                r.remaining -= 1
+                if r.remaining == 0:
+                    wake(idx)
+            submit(MemRequest(base + w, False, on_done=on_done))
+        # Fire again next cycle only on tokens already here: others
+        # arrive with a commit wake, a record slot frees with a retire,
+        # and a retire waits on a completion or a pop wake.
+        if qa and (not has_pred or qp) and (not has_order or qo) \
+                and len(records) < max_outstanding:
+            inst._next |= bit
 
     return step
 
@@ -1096,50 +1107,50 @@ def _bind_store(sim, inst, data):
 
     def step(now):
         inst._cursor = idx
-        a0 = inst._act
-        try:
+        if done_fork is not None and done_fork.pending:
+            done_fork.drain(inst)
+        while records and records[0].remaining == 0:
             if done_fork is not None and done_fork.pending:
-                done_fork.drain(inst)
-            while records and records[0].remaining == 0:
-                if done_fork is not None and done_fork.pending:
-                    break
-                rec_popleft()
-                if done_fork is not None:
-                    done_accept(True, inst)
-                inst._act += 1
-                sim.sink_count += 1
-                on_sink()
-            if len(records) >= max_outstanding:
-                return
-            if not qa or not qd or (has_pred and not qp) or \
-                    (has_order and not qo):
-                return
-            addr = pa()
-            data_v = pd()
-            enabled = bool(pp()) if has_pred else True
-            if has_order:
-                po()
+                break
+            rec_popleft()
+            if done_fork is not None:
+                done_accept(True, inst)
             inst._act += 1
-            if not enabled:
-                rec_append(_MemRecord(0, poison=True))
-                wake(idx)
-                return
-            rec = _MemRecord(words)
-            rec_append(rec)
-            stats.memory_writes += words
-            base = int(addr)
-            values = (lane_unpack_words(data_v, words)
-                      if words > 1 else [data_v])
-            for w in range(words):
-                def on_done(req, r=rec):
-                    r.remaining -= 1
-                    if r.remaining == 0:
-                        wake(idx)
-                submit(MemRequest(base + w, True, value=values[w],
-                                  on_done=on_done))
-        finally:
-            if inst._act != a0:
-                inst._next |= bit
+            sim.sink_count += 1
+            on_sink()
+        if len(records) >= max_outstanding:
+            return
+        if not qa or not qd or (has_pred and not qp) or \
+                (has_order and not qo):
+            return
+        addr = pa()
+        data_v = pd()
+        enabled = bool(pp()) if has_pred else True
+        if has_order:
+            po()
+        inst._act += 1
+        if not enabled:
+            rec_append(_MemRecord(0, poison=True))
+            wake(idx)
+            return
+        rec = _MemRecord(words)
+        rec_append(rec)
+        stats.memory_writes += words
+        base = int(addr)
+        values = (lane_unpack_words(data_v, words)
+                  if words > 1 else [data_v])
+        for w in range(words):
+            def on_done(req, r=rec):
+                r.remaining -= 1
+                if r.remaining == 0:
+                    wake(idx)
+            submit(MemRequest(base + w, True, value=values[w],
+                              on_done=on_done))
+        # As for loads: fire again next cycle only on tokens already
+        # here.
+        if qa and qd and (not has_pred or qp) and \
+                (not has_order or qo) and len(records) < max_outstanding:
+            inst._next |= bit
 
     return step
 

@@ -30,15 +30,13 @@ Three structures implement that contract:
 
 Per-instance wake state (two node bitmasks, this cycle's and the
 next's) lives on :class:`repro.sim.task.DataflowInstance`; this module
-only defines the shared machinery and the sentinel wake indices.
+only defines the shared machinery and the ``WAKE_CHECK`` sentinel.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-#: Sentinel wake index: re-sweep every node of the instance.
-WAKE_FULL = -1
 #: Sentinel wake index: process the instance with an empty sweep so
 #: the block re-evaluates ``parkable``/``is_complete`` (idle catch-up).
 WAKE_CHECK = -2

@@ -313,9 +313,11 @@ class FaultEventChannel(EventChannel):
 
     Wake contract: the creator schedules a producer wake at each stall
     window's end (the credit-restore edge), so a producer asleep on a
-    withheld edge is never lost.  Jitter needs no extra wakes — the
-    carry flag keeps the owning instance committing while tokens are
-    in flight, and token arrival wakes the consumer as usual.
+    withheld edge is never lost.  A refusal, full or stalled, is
+    recorded as in :meth:`EventChannel.can_push`, so the next ``pop``
+    wakes the producer too.  Jitter needs no extra wakes — the carry
+    flag keeps the owning instance committing while tokens are in
+    flight, and token arrival wakes the consumer as usual.
     """
 
     __slots__ = ("extra", "window", "injector")
@@ -328,9 +330,10 @@ class FaultEventChannel(EventChannel):
         self.injector = injector
 
     def can_push(self) -> bool:
-        if _stalled(self):
-            return False
-        return self.occ < self.capacity
+        if self.occ < self.capacity and not _stalled(self):
+            return True
+        self.refused = True
+        return False
 
     def commit(self) -> bool:
         return _fault_commit(self)

@@ -35,13 +35,21 @@ woken nodes in ``_ready`` (this cycle) and ``_next`` (the next one);
 a sweep steps the lowest set bit of ``_ready`` until none is left, so
 every woken node steps at most once per cycle, in ascending order; a
 wake above the cursor sets its bit in ``_ready``, one at or below it
-goes to ``_next``, and a full wake sets every bit.  The runtime keeps
-the blocks with work the same way (``_bready``/``_bnext``, bit *i* =
-block *i*) and visits only those, in block order.  A block has work
-when it has a startable invocation, a parked instance with a child
-response or a due retry, or an active instance with a wake, a park
-check or a carry; every path that creates such work marks the block
-under the visibility rule.  Parked instances are looked at only then.
+goes to ``_next``.  Only an instance's first sweep (at its start or
+recycle) steps every node.  Every other wake is aimed at the nodes
+whose guards its event can change: a commit that lands a token wakes
+the consumer, a ``pop`` the producer only if that channel refused it
+a push, a child's answer the call, spawn and sync nodes, a loop
+finish the phis, a sink's progress a loop control waiting on its
+in-flight window, a timer its node; an unparked instance gets one
+check sweep over the nodes woken while it was parked.  The runtime
+keeps the blocks with work the same way (``_bready``/``_bnext``, bit
+*i* = block *i*) and visits only those, in block order.  A block has
+work when it has a startable invocation, a parked instance with a
+child response or a due retry, or an active instance with a wake, a
+park check or a carry; every path that creates such work marks the
+block under the visibility rule.  Parked instances are looked at only
+then.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from typing import Dict, List, Optional
 from ..core.circuit import TaskBlock
 from ..errors import SimulationError
 from .channel import Channel, EventChannel, LatchedChannel
-from .events import WAKE_CHECK, WAKE_FULL
+from .events import WAKE_CHECK
 from .faults import FaultChannel, FaultEventChannel
 from .nodesim import make_node_sim
 from .stats import SimStats
@@ -93,8 +101,8 @@ class _TaskStatic:
 
     __slots__ = ("conns", "latched", "const_latches", "livein_latches",
                  "loop_conditional", "sink_idxs", "effect_sink_idxs",
-                 "mem_idxs", "call_idxs", "loopctl_idxs", "sites",
-                 "task_keys")
+                 "mem_idxs", "call_idxs", "loopctl_idxs", "phi_idxs",
+                 "answer_idxs", "sites", "task_keys")
 
     def __init__(self, task: TaskBlock, observer=None):
         nodes = task.dataflow.nodes
@@ -134,6 +142,14 @@ class _TaskStatic:
                           if n.kind in ("call", "spawn")]
         self.loopctl_idxs = [i for i, n in enumerate(nodes)
                              if n.kind == "loopctl"]
+        self.phi_idxs = [i for i, n in enumerate(nodes)
+                         if n.kind == "phi"]
+        # The nodes a child's answer can unblock: a call retires its
+        # reply, a sync sees pending_children fall; waking the spawns
+        # too gives a spawn-only parent the sweep whose tail sees it
+        # complete.
+        self.answer_idxs = [i for i, n in enumerate(nodes)
+                            if n.kind in ("call", "spawn", "sync")]
         # Stall-attribution sites, in classification order: each
         # load/store, then each call/spawn, with its keys per cause.
         self.sites = []
@@ -227,6 +243,7 @@ class DataflowInstance:
         self._cursor = -1
         self.last_processed = -1
         self._eqb_count = 0               # sims stuck on try_enqueue
+        self._window_wait = 0             # loopctls at in-flight window
         self._check_at = -1               # pending park-check cycle
         self._sleep_attr = None           # stall causes of current sleep
         self.attr_sites = None            # bound by Observability
@@ -332,6 +349,7 @@ class DataflowInstance:
         self._cursor = -1
         self.last_processed = -1
         self._eqb_count = 0
+        self._window_wait = 0
         self._check_at = -1
         self._sleep_attr = None
 
@@ -372,22 +390,15 @@ class DataflowInstance:
             if self.on_tile:
                 self.runtime._bready |= self.block.bit
 
-    def wake_full(self) -> None:
-        """Wake every node (a child delivered).  A parked instance also
-        gives its block unpark work.  A no-op under the dense kernel,
-        whose ``deliver`` calls it too."""
-        if self.sched is None:
-            return
-        block = self.block
-        if block.index < self.runtime.swept:
-            self._wake_next(self._all)
-        else:
-            self._ready = self._all
-            if self.on_tile:
-                self.runtime._bready |= block.bit
+    def on_child_answer(self) -> None:
+        """A child delivered: wake the call, spawn and sync nodes (the
+        only guards an answer changes).  A parked instance also gives
+        its block unpark work."""
+        for idx in self.static.answer_idxs:
+            self.wake_node(idx)
         if not self.on_tile:
-            block.has_response = True
-            block.wake()
+            self.block.has_response = True
+            self.block.wake()
 
     def schedule_node(self, idx: int, cycle: int) -> None:
         """Timer: wake ``idx`` at the top of ``cycle``."""
@@ -395,9 +406,7 @@ class DataflowInstance:
 
     def timer_wake(self, idx: int) -> None:
         """Wheel dispatch (top of cycle, before any sweep)."""
-        if idx == WAKE_FULL:
-            self._ready = self._all
-        elif idx == WAKE_CHECK:
+        if idx == WAKE_CHECK:
             self.force_check = True
         else:
             self._ready |= 1 << idx
@@ -405,16 +414,22 @@ class DataflowInstance:
             self.runtime._bready |= self.block.bit
 
     def on_sink_progress(self) -> None:
-        """An iteration sink advanced: loop control's window may open."""
-        for idx in self._loopctl_idxs:
-            self.wake_node(idx)
+        """An iteration sink advanced: a loop control waiting on its
+        in-flight window (its step set its bit in ``_window_wait``)
+        may issue again; one that waits on anything else may not."""
+        waiting = self._window_wait
+        if waiting:
+            self._window_wait = 0
+            for idx in self._loopctl_idxs:
+                if waiting >> idx & 1:
+                    self.wake_node(idx)
 
     def on_loop_finished(self) -> None:
-        """Loop control finished: final-value pushes unblock everywhere."""
-        if self._sweeping:
-            above = self._cursor + 1
-            self._ready |= self._all >> above << above
-        self._wake_next(self._all)
+        """Loop control finished: a phi may now push its final value.
+        No other node reads ``loop_finished``, and the trip count it
+        fixes only caps the phis' back edges, which unblocks nothing."""
+        for idx in self.static.phi_idxs:
+            self.wake_node(idx)
 
     def note_enqueue_blocked(self, sim) -> None:
         """A call/spawn failed try_enqueue (callee queue at depth)."""
@@ -740,8 +755,11 @@ class TaskBlockSim:
 
     # -- compiled kernel ---------------------------------------------------
     def _unpark(self, inst: DataflowInstance, now: int) -> None:
+        # One check sweep: the nodes a parked instance can step are
+        # the ones woken while it was parked (a child's answer, a
+        # queue credit, a timer), whose bits it kept.
         inst.idle_cycles = 0
-        inst._ready = inst._all
+        inst.force_check = True
         inst.last_processed = now - 1
         inst._sleep_attr = None
         inst.on_tile = True
@@ -979,19 +997,19 @@ class SimRuntime:
 
     def deliver(self, instance: DataflowInstance) -> None:
         inv = instance.invocation
+        parent = inv.parent
         if inv.reply is not None:
             inv.reply.results = instance.results()
             inv.reply.done = True
-            if inv.parent is not None:
-                inv.parent.response_arrived = True
-                inv.parent.wake_full()
-        elif inv.parent is not None:
-            inv.parent.pending_children -= 1
-            inv.parent.response_arrived = True
-            inv.parent.wake_full()
+        elif parent is not None:
+            parent.pending_children -= 1
         else:
             self.root_done = True
             self.root_results = instance.results()
+        if parent is not None:
+            parent.response_arrived = True
+            if self.sched is not None:
+                parent.on_child_answer()
         obs = self.observer
         if obs is not None and obs.tracing:
             obs.emit("task_done", instance.task.name,

@@ -6,6 +6,11 @@ from repro.frontend import compile_minic, translate_module
 from repro.frontend.interp import Interpreter, Memory
 from repro.sim import SimParams, simulate
 
+#: Stats keys only the compiled kernel fills (stall attribution) or
+#: that name the kernel; the rest of the document must match dense.
+UNSHARED_STATS = ("kernel", "stall_cycles", "node_stalls",
+                  "source_stalls")
+
 
 def run_both(source, args, init=None, passes=None, params=None):
     """Compile MiniC, run interpreter and simulator, return both

@@ -9,7 +9,9 @@ drops or delivers in the wrong cycle, or any step closure that
 diverges from ``tick``, shows up on the compiled leg.  A second pin,
 digests of the compiled kernel's full stats document and of its
 trace ring, catches changes that keep cycles but move stall
-attribution or event order.
+attribution or event order; a third requires the two kernels' stats
+documents to be equal apart from stall attribution and the kernel
+label.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from repro.opt.pass_manager import PassManager
 from repro.sim import SimParams, simulate
 from repro.sim.stats import STATS_SCHEMA
 from repro.workloads import WORKLOADS
+from tests.conftest import UNSHARED_STATS
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "seed_cycles.json")
@@ -94,6 +97,16 @@ def _document(name: str, config: str, observe: str) -> str:
     return json.dumps(result.stats.to_json())
 
 
+def _shared_document(name: str, config: str, kernel: str) -> str:
+    """The stats document of one run without :data:`UNSHARED_STATS`,
+    as ``json.dumps`` writes it (key order counts)."""
+    result, _ = _run_config(name, config, kernel=kernel)
+    doc = result.stats.to_json()
+    for key in UNSHARED_STATS:
+        doc.pop(key)
+    return json.dumps(doc)
+
+
 class TestEventKernelEquivalence:
     @pytest.mark.parametrize("kernel", ["dense", "compiled"])
     @pytest.mark.parametrize("config", ["baseline", "allopts"])
@@ -151,6 +164,23 @@ class TestEventKernelEquivalence:
     def test_counters_document_equals_traced_slow(self, name, config):
         assert _document(name, config, "counters") == \
             _document(name, config, "trace")
+
+    # Every stats field outside stall attribution is the same under
+    # both kernels; the digests above pin the attribution, which only
+    # the compiled kernel records.
+    @pytest.mark.parametrize("config", ["baseline", "allopts"])
+    @pytest.mark.parametrize("name", FAST_MATRIX)
+    def test_stats_document_matches_dense(self, name, config):
+        assert _shared_document(name, config, "compiled") == \
+            _shared_document(name, config, "dense")
+
+    @pytest.mark.slow
+    @full_matrix
+    @pytest.mark.parametrize("config", ["baseline", "allopts"])
+    @pytest.mark.parametrize("name", SLOW_MATRIX)
+    def test_stats_document_matches_dense_slow(self, name, config):
+        assert _shared_document(name, config, "compiled") == \
+            _shared_document(name, config, "dense")
 
     def test_golden_covers_every_workload(self):
         for name in WORKLOADS:
@@ -256,7 +286,8 @@ class TestStatsJsonSchema:
 
 
 if __name__ == "__main__":
-    # Re-record golden/stats_digests.json from the compiled kernel.
+    # Re-record golden/stats_digests.json from the compiled kernel:
+    # PYTHONPATH=src python -m tests.sim.test_engine_equivalence
     digests = {key: stats_digests(*key.split("/"))
                for key in sorted(GOLDEN)}
     with open(DIGESTS_PATH, "w") as _fh:

@@ -2,10 +2,10 @@
 attribution a failed run ships.
 
 The counts are simulator events — block visits, instance sweeps,
-classified sleep episodes, instance builds, recycles and binds — not
-Python calls, so they are the same on every Python version.  A change
-that makes the scheduler visit more blocks or sweep more instances
-per simulated cycle moves them.
+classified sleep episodes, instance builds, recycles and binds, node
+steps — not Python calls, so they are the same on every Python
+version.  A change that makes the scheduler visit more blocks, sweep
+more instances or step more nodes per simulated cycle moves them.
 """
 
 import json
@@ -21,22 +21,30 @@ from repro.frontend.interp import Memory
 from repro.opt.pass_manager import PassManager
 from repro.sim import SimParams, simulate
 from repro.sim.compile import CompiledTask
+from repro.sim.nodesim import SIM_CLASSES, NodeSim
 from repro.sim.observe import Observability
 from repro.sim.task import DataflowInstance, SimRuntime, TaskBlockSim
 from repro.workloads import WORKLOADS
 
 #: Per eval-sim kernel (all-opts, compiled kernel): simulated cycles,
 #: block visits, instance sweeps, classified sleep episodes, instance
-#: builds and instance recycles.  Only blocks with work are visited:
-#: 7,855 visits over 7,495 cycles, where visiting every block every
-#: cycle took 25,242.  Every instance binds its steps once, when it is
-#: built, so binds equal builds.
+#: builds, instance recycles, node steps and the steps that act
+#: (change ``_act``).  Only blocks with work are visited, and a node
+#: steps only when an event can change one of its guards: 69,341
+#: steps over 7,495 cycles, 47,684 of them acting, against 106,614
+#: steps, 17,036 sweeps and 7,855 visits when a pop woke the producer
+#: every time, loads and stores re-armed after every action, and a
+#: child's answer, an unpark or a loop finish woke every node (and
+#: 25,242 visits when every block was visited every cycle).  Sleep
+#: episodes rose 2,299 -> 2,399: an instance no longer woken for
+#: nothing sleeps through those cycles.  Every instance binds its
+#: steps once, when it is built, so binds equal builds.
 WORK = {
-    "gemm": (1934, 2825, 4855, 529, 12, 62),
-    "fft": (1658, 1704, 1703, 40, 3, 5),
-    "saxpy": (3080, 2319, 5341, 1460, 6, 252),
-    "stencil": (261, 328, 1221, 97, 20, 2),
-    "img_scale": (562, 679, 3916, 173, 26, 8),
+    "gemm": (1934, 2793, 4667, 553, 12, 62, 11977, 8105),
+    "fft": (1658, 1683, 1683, 52, 3, 5, 14824, 11562),
+    "saxpy": (3080, 2127, 4573, 1460, 6, 252, 8533, 4913),
+    "stencil": (261, 325, 1183, 111, 20, 2, 8434, 5878),
+    "img_scale": (562, 674, 3836, 223, 26, 8, 25573, 17226),
 }
 
 
@@ -47,10 +55,24 @@ def _allopts(name):
     return w, circuit
 
 
+def _counted_step(step, instance, counts):
+    def counted(now):
+        act = instance._act
+        step(now)
+        counts["steps"] += 1
+        if instance._act != act:
+            counts["acting"] += 1
+
+    return counted
+
+
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of scheduler events, and of ``SourceLoc.label`` calls
-    in total and as of the end of the last runtime's setup."""
+    """Counts of scheduler events, of compiled node steps (all, and
+    those that act), of the dense kernel's acting node-cycles (a fork
+    drain plus ``tick`` that changes ``_act``), and of
+    ``SourceLoc.label`` calls in total and as of the end of the last
+    runtime's setup."""
     counts = Counter()
 
     def count(cls, name, key, after=None):
@@ -70,8 +92,38 @@ def work(monkeypatch):
     count(Observability, "classify_instance", "classified")
     count(DataflowInstance, "__init__", "builds")
     count(DataflowInstance, "recycle", "recycles")
-    count(CompiledTask, "bind", "binds")
     count(SourceLoc, "label", "labels")
+
+    bind = CompiledTask.bind
+
+    def counting_bind(self, instance):
+        counts["binds"] += 1
+        return [_counted_step(step, instance, counts)
+                for step in bind(self, instance)]
+
+    monkeypatch.setattr(CompiledTask, "bind", counting_bind)
+
+    # The dense sweep drains a node's forks, then ticks it.
+    act_before = [0]
+    drain = NodeSim.drain_forks
+
+    def snapshot_drain(self):
+        act_before[0] = self.instance._act
+        drain(self)
+
+    def counting_tick(tick):
+        def counted(self, now):
+            tick(self, now)
+            if self.instance._act != act_before[0]:
+                counts["dense_acting"] += 1
+
+        return counted
+
+    monkeypatch.setattr(NodeSim, "drain_forks", snapshot_drain)
+    for cls in set(SIM_CLASSES.values()):
+        if "tick" in vars(cls):
+            monkeypatch.setattr(cls, "tick",
+                                counting_tick(vars(cls)["tick"]))
 
     def setup_done():
         counts["labels_at_setup"] = counts["labels"]
@@ -86,7 +138,8 @@ class TestWorkCounts:
         w, circuit = _allopts(name)
         result = simulate(circuit, w.fresh_memory(), list(w.args_for()),
                           SimParams(kernel="compiled"))
-        cycles, visits, sweeps, classified, builds, recycles = WORK[name]
+        cycles, visits, sweeps, classified, builds, recycles, steps, \
+            acting = WORK[name]
         assert result.cycles == cycles
         assert (work["visits"], work["sweeps"], work["classified"]) == \
             (visits, sweeps, classified)
@@ -94,6 +147,14 @@ class TestWorkCounts:
         # Recycled instances keep their steps.
         assert (work["builds"], work["recycles"], work["binds"]) == \
             (builds, recycles, builds)
+        assert (work["steps"], work["acting"]) == (steps, acting)
+        # Any correct wake scheme steps every node-cycle that acts
+        # under the dense sweep, and a step that acts is one of them.
+        assert work["dense_acting"] == 0
+        dense = simulate(circuit, w.fresh_memory(), list(w.args_for()),
+                         SimParams(kernel="dense"))
+        assert dense.cycles == cycles
+        assert work["dense_acting"] == acting
 
     @pytest.mark.parametrize("name", ["gemm", "saxpy"])
     def test_labels_are_built_before_the_first_cycle(self, name, work):
@@ -105,23 +166,26 @@ class TestWorkCounts:
 
 
 #: Stall sections of the ``SimulationTimeout`` each all-opts run
-#: raises at ``max_cycles=600``, key order included (recorded when
-#: every sleep episode still charged its labels into the document).
+#: raises at ``max_cycles=600``, key order included.  Re-recorded
+#: when pops, a child's answer, an unpark and a loop finish stopped
+#: waking nodes that could not act: an instance no longer swept for
+#: nothing sleeps through those cycles and charges them, so gemm's
+#: and saxpy's ``upstream_empty`` and ``dram_inflight`` rose.
 TIMEOUT_STALLS = {
     "gemm": {
-        "stall_cycles": {"child_wait": 13, "task_queue_full": 4103,
-                         "upstream_empty": 831, "dram_inflight": 7},
+        "stall_cycles": {"child_wait": 13, "task_queue_full": 4117,
+                         "upstream_empty": 914, "dram_inflight": 12},
         "node_stalls": {
             "main.call_main_loop_i_header_1": {"child_wait": 7},
             "main_loop_i_header.call_main_loop_j_header_3":
                 {"task_queue_full": 7, "child_wait": 6},
             "main_loop_j_header.store_8":
-                {"upstream_empty": 757, "dram_inflight": 7},
+                {"upstream_empty": 766, "dram_inflight": 12},
             "main_loop_j_header.call_main_loop_k_header_3":
-                {"task_queue_full": 764},
+                {"task_queue_full": 778},
             "main_loop_i_header": {"task_queue_full": 16},
-            "main_loop_k_header.load7_8": {"upstream_empty": 37},
-            "main_loop_k_header.load11_13": {"upstream_empty": 37},
+            "main_loop_k_header.load7_8": {"upstream_empty": 74},
+            "main_loop_k_header.load11_13": {"upstream_empty": 74},
             "main_loop_j_header": {"task_queue_full": 3316},
         },
         "source_stalls": {
@@ -129,22 +193,22 @@ TIMEOUT_STALLS = {
             "gemm.mc:8 (main_loop_i_header)":
                 {"task_queue_full": 7, "child_wait": 6},
             "gemm.mc:13 (main_loop_j_header)":
-                {"upstream_empty": 757, "dram_inflight": 7},
-            "gemm.mc:10 (main_loop_j_header)": {"task_queue_full": 764},
-            "gemm.mc:11 (main_loop_k_header)": {"upstream_empty": 74},
+                {"upstream_empty": 766, "dram_inflight": 12},
+            "gemm.mc:10 (main_loop_j_header)": {"task_queue_full": 778},
+            "gemm.mc:11 (main_loop_k_header)": {"upstream_empty": 148},
         },
     },
     "saxpy": {
-        "stall_cycles": {"child_wait": 7, "dram_inflight": 2556,
-                         "upstream_empty": 1890, "task_queue_full": 303},
+        "stall_cycles": {"child_wait": 7, "dram_inflight": 2700,
+                         "upstream_empty": 2178, "task_queue_full": 303},
         "node_stalls": {
             "main.call_main_loop_i_header_1": {"child_wait": 7},
             "main_task0.load3_3":
-                {"dram_inflight": 1170, "upstream_empty": 312},
+                {"dram_inflight": 1218, "upstream_empty": 408},
             "main_task0.load6_7":
-                {"dram_inflight": 1170, "upstream_empty": 312},
+                {"dram_inflight": 1218, "upstream_empty": 408},
             "main_task0.store_10":
-                {"upstream_empty": 1266, "dram_inflight": 216},
+                {"upstream_empty": 1362, "dram_inflight": 264},
             "main_loop_i_header.spawn_main_task0_3":
                 {"task_queue_full": 154},
             "main_loop_i_header": {"task_queue_full": 149},
@@ -152,7 +216,7 @@ TIMEOUT_STALLS = {
         "source_stalls": {
             "saxpy.mc:6 (main)": {"child_wait": 7},
             "saxpy.mc:7 (main_task0)":
-                {"dram_inflight": 2556, "upstream_empty": 1890},
+                {"dram_inflight": 2700, "upstream_empty": 2178},
             "saxpy.mc:6 (main_loop_i_header)": {"task_queue_full": 154},
         },
     },

@@ -22,6 +22,7 @@ from repro.opt import (
 )
 from repro.sim import SimParams, simulate
 from repro.sim.faults import FaultPlan
+from tests.conftest import UNSHARED_STATS
 
 # ---------------------------------------------------------------------------
 # Random program generator (always well-formed by construction)
@@ -51,13 +52,15 @@ def loop_bodies(draw, names):
     """Loop bodies whose stores are race-free by construction: each
     store site s writes ``out[i*4 + s]`` (iteration-disjoint), matching
     the Cilk-style race-freedom the execution model assumes (see
-    DESIGN.md).  Data and condition expressions stay fully random."""
+    DESIGN.md).  Data and condition expressions stay fully random.
+    A conditional store becomes a predicated store; a conditional
+    assignment to a local becomes a ``select`` node."""
     lines = []
     local_names = list(names)
     slot = 0
     n_stmts = draw(st.integers(1, 3))
     for _ in range(n_stmts):
-        kind = draw(st.integers(0, 2))
+        kind = draw(st.integers(0, 3))
         if kind == 0:
             var = f"t{len(local_names)}"
             lines.append(
@@ -68,12 +71,21 @@ def loop_bodies(draw, names):
                 f"out[i * 4 + {slot}] = "
                 f"{draw(expressions(local_names))};")
             slot += 1
-        else:
+        elif kind == 2:
             cond = draw(expressions(local_names))
             body = (f"out[i * 4 + {slot}] = "
                     f"{draw(expressions(local_names))};")
             slot += 1
             lines.append(f"if (({cond}) > 0) {{ {body} }}")
+        else:
+            var = f"t{len(local_names)}"
+            init = draw(expressions(local_names))
+            cond = draw(expressions(local_names))
+            lines.append(
+                f"var {var}: i32 = {init}; "
+                f"if (({cond}) > 0) {{ {var} = "
+                f"{draw(expressions(local_names))}; }}")
+            local_names.append(var)
     if slot == 0:
         lines.append(f"out[i * 4] = {draw(expressions(local_names))};")
     return "\n    ".join(lines)
@@ -165,12 +177,6 @@ class TestRandomPrograms:
 # ---------------------------------------------------------------------------
 # The dense sweep as an independent oracle for the compiled kernel
 # ---------------------------------------------------------------------------
-
-#: Stats keys only the compiled kernel fills (stall attribution) or
-#: that name the kernel; the rest of the document must match dense.
-UNSHARED_STATS = ("kernel", "stall_cycles", "node_stalls",
-                  "source_stalls")
-
 
 def _run_kernel(module, circuit, trip, kernel, plan):
     """One simulation; returns (outcome, memory words) where outcome
