@@ -156,6 +156,10 @@ def cmd_simulate(args) -> int:
         raise ReproError(
             "--trace-out requires the compiled kernel "
             "(rerun without --kernel dense)")
+    if args.trace_out and args.batch and args.batch > 1:
+        raise ReproError(
+            "--trace-out traces one run; drop --batch or run lanes "
+            "one at a time")
     with open(args.file) as fh:
         source = fh.read()
     request, plan = simulate_request_from(args, source)
@@ -211,10 +215,6 @@ def cmd_simulate(args) -> int:
         sim.stats.dump_json(args.stats_json)
         print(f"wrote {args.stats_json}")
     if args.trace_out:
-        if sim.observer is None:
-            raise ReproError(
-                "--trace-out requires the compiled kernel "
-                "(rerun without --kernel dense)")
         sim.observer.write_chrome_trace(args.trace_out)
         print(f"wrote {args.trace_out} "
               f"(load in chrome://tracing or Perfetto)")

@@ -249,49 +249,28 @@ def lane_fingerprint(args: Sequence, words: Sequence) -> str:
 # ---------------------------------------------------------------------------
 
 
-def lane_lift_pos(arity: int, f):
-    """Lane-lifted twin of a positional evaluator from
-    :func:`repro.core.semantics.specialize_compute_pos`.
+def lane_lift_pos(f):
+    """Lane-lifted twin of a two-operand positional evaluator from
+    :func:`repro.core.semantics.specialize_compute_pos` (the compiled
+    kernel steps every other arity through :func:`lane_lift_list`).
 
     Scalar operands take the original fast path untouched; any
-    LaneValues operand broadcasts the scalars and maps ``f`` per lane.
+    LaneValues operand broadcasts the scalar and maps ``f`` per lane.
     """
-    if arity == 1:
-        def lifted(a):
-            if type(a) is LaneValues:
-                return LaneValues([f(x) for x in a.lanes])
-            return f(a)
-        return lifted
-    if arity == 2:
-        def lifted(a, b):
-            av = type(a) is LaneValues
-            bv = type(b) is LaneValues
-            if not av and not bv:
-                return f(a, b)
-            if av and bv:
-                la, lb = a.lanes, b.lanes
-            elif av:
-                la = a.lanes
-                lb = [b] * len(la)
-            else:
-                lb = b.lanes
-                la = [a] * len(lb)
-            return LaneValues([f(x, y) for x, y in zip(la, lb)])
-        return lifted
-
-    def lifted(a, b, c):
-        n = 0
-        for v in (a, b, c):
-            if type(v) is LaneValues:
-                n = len(v.lanes)
-                break
+    def lifted(a, b):
+        av = type(a) is LaneValues
+        bv = type(b) is LaneValues
+        if not av and not bv:
+            return f(a, b)
+        if av and bv:
+            la, lb = a.lanes, b.lanes
+        elif av:
+            la = a.lanes
+            lb = [b] * len(la)
         else:
-            return f(a, b, c)
-        la = a.lanes if type(a) is LaneValues else [a] * n
-        lb = b.lanes if type(b) is LaneValues else [b] * n
-        lc = c.lanes if type(c) is LaneValues else [c] * n
-        return LaneValues([f(x, y, z)
-                           for x, y, z in zip(la, lb, lc)])
+            lb = b.lanes
+            la = [a] * len(lb)
+        return LaneValues([f(x, y) for x, y in zip(la, lb)])
     return lifted
 
 

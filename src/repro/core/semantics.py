@@ -1,9 +1,13 @@
-"""Shared functional semantics of compute operations.
+"""Functional semantics of compute operations in the uIR simulator.
 
-The reference interpreter, the uIR cycle simulator, and fused-node
-evaluation all execute the *same* scalar/tensor operation definitions
-from this module, so "transformations preserve behavior" is checkable
-by construction.
+Both simulation kernels evaluate their compute and fused nodes with
+the scalar/tensor op definitions in this module: the dense kernel's
+node sims call :func:`eval_compute`, and the compiled kernel's steps
+call the evaluators :func:`specialize_compute_pos` resolves once per
+node.  The reference interpreter (:mod:`repro.frontend.interp`) keeps
+its own op tables and imports nothing from here, so checking a
+simulation against it compares two independent definitions of every
+op, and "transformations preserve behavior" is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -221,8 +225,9 @@ def specialize_compute_pos(op: str, result_type: Type,
 
 
 def specialize_compute(op: str, result_type: Type, gep_scale: int = 1):
-    """List-operand form of :func:`specialize_compute_pos` (used by
-    fused-expression plans, whose operands are gathered by ref)."""
+    """List-operand form of :func:`specialize_compute_pos` (used by the
+    compiled kernel's generic compute step and by the fused-region
+    expressions it does not index directly)."""
     arity, f = specialize_compute_pos(op, result_type, gep_scale)
     if arity == 1:
         return lambda vals: f(vals[0])

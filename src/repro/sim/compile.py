@@ -18,8 +18,17 @@ with everything the body touches bound as closure locals:
 * the node's fork buffers, with the sweep-loop fork pre-drain folded
   into the step prologue,
 * a pre-resolved operation evaluator
-  (:func:`repro.core.semantics.specialize_compute`) that skips the op
-  string-compare chain and the per-fire type dispatch.
+  (:func:`repro.core.semantics.specialize_compute_pos`) that skips the
+  op string-compare chain and the per-fire type dispatch.
+
+Function units are unrolled only in the shapes the workloads step:
+a compute unit with two wired inputs and an output fork
+(combinational, II 1 and II > 1) and a combinational fused region
+with a fork.  On one pass of the eval-sim op set those take 47,118
+of the 69,341 node steps; every other FU shape (one or three inputs,
+no consumer, a fused region lengthened by a fault plan) takes one
+loop-based ``generic_step`` per kind, which carries at most 1.5 % of
+any benchmark workload's node steps.
 
 Each closure replicates the matching ``NodeSim.tick`` *exactly* —
 guard order, ``instance._act`` increments, stats counters — plus the
@@ -203,26 +212,26 @@ def _bind_liveout(sim, inst, data):
 
 
 def _bind_compute(sim, inst, data):
-    """compute/tensor FU step, arity-specialized.
+    """compute/tensor FU step.
 
-    The common shapes (wired output fork, 1/2/3 inputs) get fully
-    unrolled variants: per-input ready-token truth tests, positional
-    pops feeding a positional evaluator (no operand-list allocation),
-    and both in-order retire loops inlined; arity 1 and 2 also get
-    their own II 1 and II > 1 variants.  Anything else (unwired
-    output, operand-count mismatch) falls back to the generic
-    loop-based twin of ``ComputeSim.tick``.
+    Only the shape the workloads step gets unrolled closures: two
+    wired inputs and a wired output fork, in its combinational, II 1
+    and II > 1 forms (on one pass of the eval-sim op set, 11,592,
+    23,348 and 2,866 of the 69,341 node steps).  Those closures test
+    the two ready tokens, pop straight into a positional evaluator (no
+    operand-list allocation) and inline both in-order retire loops.
+    Every other shape (one or three inputs, no consumer) takes
+    ``generic_step``, the loop-based twin of ``ComputeSim.tick``: at
+    most 1.5 % of any benchmark workload's node steps.
 
     In a batched runtime the evaluators are swapped for lane-lifted
     twins at bind time; the scalar closures below are byte-identical
     either way, so the single-instance compiled kernel pays nothing."""
-    arity, fpos, flist = data
-    if inst.runtime.batch is not None:
-        fpos = lane_lift_pos(arity, fpos)
-        flist = lane_lift_list(flist)
     chans = sim.in_chans
     if chans is None:
         return _nop
+    arity, fpos, flist = data
+    batch = inst.runtime.batch is not None
     fork = sim.out_fork
     pipe = sim.pipe
     latency = sim.latency
@@ -235,9 +244,16 @@ def _bind_compute(sim, inst, data):
     fires = inst.stats.node_fires
     popleft = pipe.popleft
     append = pipe.append
-    if fork is not None and len(chans) == arity and arity <= 3:
+    if fork is not None and arity == len(chans) == 2:
+        if batch:
+            fpos = lane_lift_pos(fpos)
         accept = _fork_accept(fork)
         drain = fork.drain
+        ca, cb = chans
+        qa = ready_token(ca)
+        qb = ready_token(cb)
+        pa = ca.pop
+        pb = cb.pop
         if latency == 1 and interval == 1:
             # Combinational FU: capacity == max(1, latency) == 1, so
             # the pipe holds at most the single output of a fire whose
@@ -245,74 +261,6 @@ def _bind_compute(sim, inst, data):
             # (a node steps at most once per cycle).  The result
             # usually goes straight to the fork without touching the
             # pipe deque at all.
-            if arity == 1:
-                ca, = chans
-                qa = ready_token(ca)
-                pa = ca.pop
-
-                def step(now):
-                    inst._cursor = idx
-                    if fork.pending:
-                        drain(inst)
-                    if pipe:
-                        if fork.pending:
-                            return
-                        accept(pipe[0][1], inst)
-                        popleft()
-                        inst._act += 1
-                    if not qa:
-                        return
-                    result = fpos(pa())
-                    inst._act += 1
-                    fires[kind] += 1
-                    if fork.pending:
-                        append((now, result))
-                        return
-                    accept(result, inst)
-                    inst._act += 1
-                    if qa:
-                        wake(idx)
-
-                return step
-            if arity == 2:
-                ca, cb = chans
-                qa = ready_token(ca)
-                qb = ready_token(cb)
-                pa = ca.pop
-                pb = cb.pop
-
-                def step(now):
-                    inst._cursor = idx
-                    if fork.pending:
-                        drain(inst)
-                    if pipe:
-                        if fork.pending:
-                            return
-                        accept(pipe[0][1], inst)
-                        popleft()
-                        inst._act += 1
-                    if not qa or not qb:
-                        return
-                    result = fpos(pa(), pb())
-                    inst._act += 1
-                    fires[kind] += 1
-                    if fork.pending:
-                        append((now, result))
-                        return
-                    accept(result, inst)
-                    inst._act += 1
-                    if qa and qb:
-                        wake(idx)
-
-                return step
-            ca, cb, cc = chans
-            qa = ready_token(ca)
-            qb = ready_token(cb)
-            qc = ready_token(cc)
-            pa = ca.pop
-            pb = cb.pop
-            pc = cc.pop
-
             def step(now):
                 inst._cursor = idx
                 if fork.pending:
@@ -323,9 +271,9 @@ def _bind_compute(sim, inst, data):
                     accept(pipe[0][1], inst)
                     popleft()
                     inst._act += 1
-                if not qa or not qb or not qc:
+                if not qa or not qb:
                     return
-                result = fpos(pa(), pb(), pc())
+                result = fpos(pa(), pb())
                 inst._act += 1
                 fires[kind] += 1
                 if fork.pending:
@@ -333,42 +281,14 @@ def _bind_compute(sim, inst, data):
                     return
                 accept(result, inst)
                 inst._act += 1
-                if qa and qb and qc:
+                if qa and qb:
                     wake(idx)
 
             return step
-        if arity == 1:
-            ca, = chans
-            qa = ready_token(ca)
-            pa = ca.pop
-            if interval == 1:
-                # Fully pipelined FU (II == 1): ``now < next_fire``
-                # can never hold (a node steps at most once per
-                # cycle), so the issue-throttle machinery vanishes.
-                def step(now):
-                    inst._cursor = idx
-                    if fork.pending:
-                        drain(inst)
-                    while pipe and pipe[0][0] <= now:
-                        if fork.pending:
-                            break
-                        accept(pipe[0][1], inst)
-                        popleft()
-                        inst._act += 1
-                    if len(pipe) >= capacity or not qa:
-                        return
-                    append((now + latency - 1, fpos(pa())))
-                    sched(idx, now + latency - 1)
-                    inst._act += 1
-                    fires[kind] += 1
-                    if len(pipe) < capacity and qa:
-                        wake(idx)
-
-                return step
-
-            # II > 1 (divide, remainder, exp, sqrt): the issue cursor
-            # lives on the sim, and a timer wakes the unit when it may
-            # issue again.
+        if interval == 1:
+            # Fully pipelined FU (II == 1): ``now < next_fire`` can
+            # never hold (a node steps at most once per cycle), so the
+            # issue-throttle machinery vanishes.
             def step(now):
                 inst._cursor = idx
                 if fork.pending:
@@ -379,89 +299,19 @@ def _bind_compute(sim, inst, data):
                     accept(pipe[0][1], inst)
                     popleft()
                     inst._act += 1
-                if now < sim.next_fire or len(pipe) >= capacity \
-                        or not qa:
-                    return
-                append((now + latency - 1, fpos(pa())))
-                next_fire = sim.next_fire = now + interval
-                if latency > 1:
-                    sched(idx, now + latency - 1)
-                sched(idx, next_fire)
-                inst._act += 1
-                fires[kind] += 1
-                while pipe and pipe[0][0] <= now:
-                    if fork.pending:
-                        break
-                    accept(pipe[0][1], inst)
-                    popleft()
-                    inst._act += 1
-
-            return step
-        if arity == 2:
-            ca, cb = chans
-            qa = ready_token(ca)
-            qb = ready_token(cb)
-            pa = ca.pop
-            pb = cb.pop
-            if interval == 1:
-                def step(now):
-                    inst._cursor = idx
-                    if fork.pending:
-                        drain(inst)
-                    while pipe and pipe[0][0] <= now:
-                        if fork.pending:
-                            break
-                        accept(pipe[0][1], inst)
-                        popleft()
-                        inst._act += 1
-                    if len(pipe) >= capacity or not qa or not qb:
-                        return
-                    append((now + latency - 1, fpos(pa(), pb())))
-                    sched(idx, now + latency - 1)
-                    inst._act += 1
-                    fires[kind] += 1
-                    if len(pipe) < capacity and qa and qb:
-                        wake(idx)
-
-                return step
-
-            # II > 1, as for arity 1.
-            def step(now):
-                inst._cursor = idx
-                if fork.pending:
-                    drain(inst)
-                while pipe and pipe[0][0] <= now:
-                    if fork.pending:
-                        break
-                    accept(pipe[0][1], inst)
-                    popleft()
-                    inst._act += 1
-                if now < sim.next_fire or len(pipe) >= capacity \
-                        or not qa or not qb:
+                if len(pipe) >= capacity or not qa or not qb:
                     return
                 append((now + latency - 1, fpos(pa(), pb())))
-                next_fire = sim.next_fire = now + interval
-                if latency > 1:
-                    sched(idx, now + latency - 1)
-                sched(idx, next_fire)
+                sched(idx, now + latency - 1)
                 inst._act += 1
                 fires[kind] += 1
-                while pipe and pipe[0][0] <= now:
-                    if fork.pending:
-                        break
-                    accept(pipe[0][1], inst)
-                    popleft()
-                    inst._act += 1
+                if len(pipe) < capacity and qa and qb:
+                    wake(idx)
 
             return step
-        ca, cb, cc = chans
-        qa = ready_token(ca)
-        qb = ready_token(cb)
-        qc = ready_token(cc)
-        pa = ca.pop
-        pb = cb.pop
-        pc = cc.pop
 
+        # II > 1 (div, rem, fdiv): the issue cursor lives on the sim,
+        # and a timer wakes the unit when it may issue again.
         def step(now):
             inst._cursor = idx
             if fork.pending:
@@ -473,14 +323,13 @@ def _bind_compute(sim, inst, data):
                 popleft()
                 inst._act += 1
             if now < sim.next_fire or len(pipe) >= capacity \
-                    or not qa or not qb or not qc:
+                    or not qa or not qb:
                 return
-            append((now + latency - 1, fpos(pa(), pb(), pc())))
+            append((now + latency - 1, fpos(pa(), pb())))
             next_fire = sim.next_fire = now + interval
             if latency > 1:
                 sched(idx, now + latency - 1)
-            if interval > 1:
-                sched(idx, next_fire)
+            sched(idx, next_fire)
             inst._act += 1
             fires[kind] += 1
             while pipe and pipe[0][0] <= now:
@@ -489,16 +338,14 @@ def _bind_compute(sim, inst, data):
                 accept(pipe[0][1], inst)
                 popleft()
                 inst._act += 1
-            if interval == 1 and len(pipe) < capacity \
-                    and qa and qb and qc:
-                wake(idx)
 
         return step
 
-    # Generic fallback: unwired output or operand-count mismatch.
+    if batch:
+        flist = lane_lift_list(flist)
     tokens, pops = _tokens_pops(chans)
 
-    def step(now):
+    def generic_step(now):
         inst._cursor = idx
         if fork is not None and fork.pending:
             fork.drain(inst)
@@ -537,10 +384,16 @@ def _bind_compute(sim, inst, data):
             else:
                 wake(idx)
 
-    return step
+    return generic_step
 
 
 def _bind_fused(sim, inst, evalf):
+    """Fused-region step.  A combinational region with a wired output
+    fork, the only shape the workloads build (9,312 of the 69,341
+    node steps of one eval-sim pass), gets its own closure, with the
+    compute comb path's argument: capacity 1, one step per cycle.  A
+    region lengthened by a fault plan's FU latency or with no
+    consumer takes ``generic_step``, the twin of ``FusedSim.tick``."""
     chans = sim.in_chans
     if chans is None:
         return _nop
@@ -556,81 +409,49 @@ def _bind_fused(sim, inst, evalf):
     fires = inst.stats.node_fires
     popleft = pipe.popleft
     append = pipe.append
-    if fork is not None:
+    if fork is not None and latency == 1:
         accept = _fork_accept(fork)
         drain = fork.drain
-        if latency == 1:
-            # Combinational fused region (same argument as the
-            # compute comb path: capacity 1, one step per cycle).
-            def step(now):
-                inst._cursor = idx
-                if fork.pending:
-                    drain(inst)
-                if pipe:
-                    if fork.pending:
-                        return
-                    accept(pipe[0][1], inst)
-                    popleft()
-                    inst._act += 1
-                for tok in tokens:
-                    if not tok:
-                        return
-                ins = [pop() for pop in pops]
-                result = evalf(ins)
-                inst._act += 1
-                fires["fused"] += 1
-                if fork.pending:
-                    append((now, result))
-                    return
-                accept(result, inst)
-                inst._act += 1
-                for tok in tokens:
-                    if not tok:
-                        break
-                else:
-                    wake(idx)
-
-            return step
 
         def step(now):
             inst._cursor = idx
             if fork.pending:
                 drain(inst)
-            while pipe and pipe[0][0] <= now:
+            if pipe:
                 if fork.pending:
-                    break
+                    return
                 accept(pipe[0][1], inst)
                 popleft()
                 inst._act += 1
-            if len(pipe) >= latency:
-                return
             for tok in tokens:
                 if not tok:
                     return
             ins = [pop() for pop in pops]
-            append((now + latency - 1, evalf(ins)))
-            if latency > 1:
-                sched(idx, now + latency - 1)
+            result = evalf(ins)
             inst._act += 1
             fires["fused"] += 1
-            while pipe and pipe[0][0] <= now:
-                if fork.pending:
+            if fork.pending:
+                append((now, result))
+                return
+            accept(result, inst)
+            inst._act += 1
+            for tok in tokens:
+                if not tok:
                     break
-                accept(pipe[0][1], inst)
-                popleft()
-                inst._act += 1
-            if len(pipe) < latency:
-                for tok in tokens:
-                    if not tok:
-                        break
-                else:
-                    wake(idx)
+            else:
+                wake(idx)
 
         return step
 
-    def step(now):
+    def generic_step(now):
         inst._cursor = idx
+        if fork is not None and fork.pending:
+            fork.drain(inst)
         while pipe and pipe[0][0] <= now:
+            if fork is not None:
+                if fork.pending:
+                    break
+                fork.accept(pipe[0][1], inst)
             popleft()
             inst._act += 1
         if len(pipe) >= latency:
@@ -645,6 +466,10 @@ def _bind_fused(sim, inst, evalf):
         inst._act += 1
         fires["fused"] += 1
         while pipe and pipe[0][0] <= now:
+            if fork is not None:
+                if fork.pending:
+                    break
+                fork.accept(pipe[0][1], inst)
             popleft()
             inst._act += 1
         if len(pipe) < latency:
@@ -654,10 +479,14 @@ def _bind_fused(sim, inst, evalf):
             else:
                 wake(idx)
 
-    return step
+    return generic_step
 
 
 def _bind_select(sim, inst, data):
+    """select step, one closure for both shapes.  The pipe holds at
+    most the one result a blocked fork refused; with no consumer a
+    result retires in the cycle it is made, as ``SelectSim.tick``'s
+    retire loop does."""
     chans = sim.in_chans
     if chans is None:
         return _nop
@@ -671,60 +500,36 @@ def _bind_select(sim, inst, data):
     # scalar path keeps the raw conditional).
     batch = inst.runtime.batch is not None
     idx, bit = _rearm_locals(sim)
-    if fork is not None:
-        accept = _fork_accept(fork)
-        drain = fork.drain
+    accept = _fork_accept(fork) if fork is not None else None
 
-        def step(now):
-            inst._cursor = idx
-            a0 = inst._act
-            try:
+    def step(now):
+        inst._cursor = idx
+        a0 = inst._act
+        try:
+            if fork is not None:
                 if fork.pending:
-                    drain(inst)
+                    fork.drain(inst)
                 if pipe:
                     if fork.pending:
                         return
                     accept(pipe[0][1], inst)
                     popleft()
                     inst._act += 1
-                if not tc or not ta or not tb:
-                    return
-                cond = pc()
-                a = pa()
-                b = pb()
-                result = (lane_select(cond, a, b) if batch
-                          else (a if cond else b))
-                inst._act += 1
-                if fork.pending:
-                    append((now, result))
-                    return
-                accept(result, inst)
-                inst._act += 1
-            finally:
-                if inst._act != a0:
-                    inst._next |= bit
-
-        return step
-
-    def step(now):
-        inst._cursor = idx
-        a0 = inst._act
-        try:
-            while pipe and pipe[0][0] <= now:
-                popleft()
-                inst._act += 1
-            if pipe:
-                return
             if not tc or not ta or not tb:
                 return
             cond = pc()
             a = pa()
             b = pb()
-            append((now, lane_select(cond, a, b) if batch
-                    else (a if cond else b)))
+            result = (lane_select(cond, a, b) if batch
+                      else (a if cond else b))
             inst._act += 1
-            while pipe and pipe[0][0] <= now:
-                popleft()
+            if fork is None:
+                inst._act += 1
+            elif fork.pending:
+                append((now, result))
+                return
+            else:
+                accept(result, inst)
                 inst._act += 1
         finally:
             if inst._act != a0:
@@ -1360,47 +1165,33 @@ def _compile_compute(node):
 
 def _compile_fused(node):
     """Fused-region evaluator: one pre-specialized closure per inner
-    expression, each gathering its operands by direct index (no
-    per-expression operand-list build for the 1/2-ref shapes the
-    fusion pass emits)."""
+    expression, each gathering its operands by direct index for the
+    two-operand shapes the fusion pass emits (a chain: two inputs, or
+    an input and the previous result).  Any other expression goes
+    through its op's list evaluator."""
     exprs = []
     for op, refs, rtype, scale in node.exprs:
         arity, f = specialize_compute_pos(op, rtype, scale)
-        refs = tuple(refs)
-        if arity == 2 and len(refs) == 2:
-            (ka, ia), (kb, ib) = refs
-            if ka == "in" and kb == "in":
-                exprs.append(lambda ins, res, f=f, ia=ia, ib=ib:
-                             f(ins[ia], ins[ib]))
-            elif ka == "in":
-                exprs.append(lambda ins, res, f=f, ia=ia, ib=ib:
-                             f(ins[ia], res[ib]))
-            elif kb == "in":
-                exprs.append(lambda ins, res, f=f, ia=ia, ib=ib:
-                             f(res[ia], ins[ib]))
-            else:
-                exprs.append(lambda ins, res, f=f, ia=ia, ib=ib:
-                             f(res[ia], res[ib]))
-        elif arity == 1 and len(refs) == 1:
-            (ka, ia), = refs
-            if ka == "in":
-                exprs.append(lambda ins, res, f=f, ia=ia: f(ins[ia]))
-            else:
-                exprs.append(lambda ins, res, f=f, ia=ia: f(res[ia]))
+        from_in = tuple(k == "in" for k, _ in refs)
+        if arity == 2 and from_in == (True, True):
+            (_, ia), (_, ib) = refs
+            exprs.append(lambda ins, res, f=f, ia=ia, ib=ib:
+                         f(ins[ia], ins[ib]))
+        elif arity == 2 and from_in == (True, False):
+            (_, ia), (_, ib) = refs
+            exprs.append(lambda ins, res, f=f, ia=ia, ib=ib:
+                         f(ins[ia], res[ib]))
+        elif arity == 2 and from_in == (False, True):
+            (_, ia), (_, ib) = refs
+            exprs.append(lambda ins, res, f=f, ia=ia, ib=ib:
+                         f(res[ia], ins[ib]))
         else:
             flist = specialize_compute(op, rtype, scale)
+            refs = tuple(refs)
             exprs.append(lambda ins, res, f=flist, refs=refs:
                          f([ins[i] if k == "in" else res[i]
                             for k, i in refs]))
     exprs = tuple(exprs)
-    if len(exprs) == 1:
-        e0 = exprs[0]
-        empty = ()
-
-        def evalf(ins):
-            return e0(ins, empty)
-
-        return evalf
 
     def evalf(ins):
         results: List = []

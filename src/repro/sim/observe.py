@@ -104,13 +104,10 @@ def _classify(sites, out: List) -> None:
                 out.append(keys[CHILD_WAIT])
                 continue
         elif code == _LOOPCTL:
-            if sim.started and not sim.finished:
-                try:
-                    if sim._in_flight() >= sim.node.max_in_flight:
-                        out.append(keys[ITER_WINDOW])
-                        continue
-                except AttributeError:
-                    pass  # loopctl variant without an in-flight window
+            if sim.started and not sim.finished and \
+                    sim._in_flight() >= sim.node.max_in_flight:
+                out.append(keys[ITER_WINDOW])
+                continue
         elif code == _SYNC:
             if sim.instance.pending_children > 0:
                 out.append(keys[CHILD_WAIT])

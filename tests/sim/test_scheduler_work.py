@@ -69,10 +69,11 @@ def _counted_step(step, instance, counts):
 @pytest.fixture
 def work(monkeypatch):
     """Counts of scheduler events, of compiled node steps (all, and
-    those that act), of the dense kernel's acting node-cycles (a fork
-    drain plus ``tick`` that changes ``_act``), and of
-    ``SourceLoc.label`` calls in total and as of the end of the last
-    runtime's setup."""
+    those that act), of function units bound to a ``generic_step``
+    (the slow path of the shapes no benchmark workload runs hot), of
+    the dense kernel's acting node-cycles (a fork drain plus ``tick``
+    that changes ``_act``), and of ``SourceLoc.label`` calls in total
+    and as of the end of the last runtime's setup."""
     counts = Counter()
 
     def count(cls, name, key, after=None):
@@ -98,8 +99,10 @@ def work(monkeypatch):
 
     def counting_bind(self, instance):
         counts["binds"] += 1
-        return [_counted_step(step, instance, counts)
-                for step in bind(self, instance)]
+        steps = bind(self, instance)
+        counts["generic_binds"] += sum(
+            step.__name__ == "generic_step" for step in steps)
+        return [_counted_step(step, instance, counts) for step in steps]
 
     monkeypatch.setattr(CompiledTask, "bind", counting_bind)
 
@@ -148,6 +151,8 @@ class TestWorkCounts:
         assert (work["builds"], work["recycles"], work["binds"]) == \
             (builds, recycles, builds)
         assert (work["steps"], work["acting"]) == (steps, acting)
+        # Every compute and fused unit here takes an unrolled step.
+        assert work["generic_binds"] == 0
         # Any correct wake scheme steps every node-cycle that acts
         # under the dense sweep, and a step that acts is one of them.
         assert work["dense_acting"] == 0

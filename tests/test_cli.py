@@ -101,6 +101,16 @@ class TestSimulate:
                      "--trace-out", tracep]) == 2
         assert "obs-level" in capsys.readouterr().err
 
+    def test_trace_out_with_batch_is_a_usage_error(self, src_file,
+                                                   tmp_path, capsys):
+        # A batched run has no single trace to write, so it fails
+        # before simulating instead of exiting 0 without the file.
+        tracep = tmp_path / "trace.json"
+        assert main(["simulate", src_file, "--args", "16", "2.0",
+                     "--batch", "3", "--trace-out", str(tracep)]) == 2
+        assert "--batch" in capsys.readouterr().err
+        assert not tracep.exists()
+
     def test_seeded_batch_matches_seeded_scalar(self, src_file, capsys):
         def cycles_line(out):
             return next(line for line in out.splitlines()

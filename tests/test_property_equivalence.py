@@ -93,13 +93,22 @@ def loop_bodies(draw, names):
 
 @st.composite
 def reductions(draw):
-    """An optional loop-carried reduction ``acc``: its declaration,
-    per-iteration update and final store (all empty when not drawn)."""
+    """An optional loop-carried reduction: its declaration,
+    per-iteration update and final store (all empty when not drawn).
+    It carries either a local ``acc`` through a phi, or a value in
+    memory: ``out[60]`` is read, modified and written every
+    iteration.  That loop-carried memory dependence serializes the
+    loop (``max_in_flight`` 1), so its loop control stops at its
+    in-flight window until the iteration before retires."""
     if not draw(st.booleans()):
         return "", "", ""
-    return ("var acc: i32 = 0;",
-            f"acc = acc + ({draw(expressions(['i', 'acc']))});",
-            "out[60] = acc;")
+    if draw(st.booleans()):
+        return ("var acc: i32 = 0;",
+                f"acc = acc + ({draw(expressions(['i', 'acc']))});",
+                "out[60] = acc;")
+    return ("",
+            f"out[60] = out[60] + ({draw(expressions(['i', 'n']))});",
+            "")
 
 
 @st.composite
